@@ -150,8 +150,8 @@ pub type QuotientModel = SharedModel<PackedSpace<FaultyStateCodec>>;
 /// Mirrors the [`SharedModel`] query surface the jobs use
 /// ([`StoredQuotientModel::starts_where`] plus the
 /// [`pa_store::StoredModel`] accessors via [`StoredQuotientModel::model`]);
-/// the block-streamed engines answer bitwise identically to the in-core
-/// CSR kernels, which the tests pin.
+/// the solver kernels answer bitwise identically for any block split,
+/// which the tests pin.
 #[derive(Debug)]
 pub struct StoredQuotientModel {
     /// Ring size.
@@ -630,8 +630,8 @@ impl ModelCache {
     /// resident space tables plus the block-cache budget, not the on-disk
     /// model size — and participates in LRU eviction like any other slot.
     /// Answers are bitwise identical to the in-core quotient's for any
-    /// budget (the block-streamed engines are operation-order twins of the
-    /// CSR kernels).
+    /// budget (one set of solver kernels serves both backends, and its
+    /// results do not depend on the block split).
     ///
     /// # Errors
     ///

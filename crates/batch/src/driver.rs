@@ -249,7 +249,6 @@ fn execute(ctx: &JobCtx<'_>) -> Result<JobValue, String> {
             let values = Query::csr(&model.csr)
                 .objective(QueryObjective::MaxCost)
                 .target(target)
-                .solver(ctx.spec.solver)
                 .epsilon(ctx.spec.epsilon)
                 .workers(1)
                 .run()
@@ -384,7 +383,6 @@ fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
         .objective(QueryObjective::MinProb)
         .target(target)
         .horizon(budget)
-        .solver(ctx.spec.solver)
         .epsilon(ctx.spec.epsilon)
         .workers(1)
         .run()

@@ -3,7 +3,7 @@
 //! A [`JobSpec`] names one analysis — a paper arrow, the composed
 //! `T —13→ C` arrow, an expected-time bound, the Lemma 6.1 invariant, an
 //! appendix lemma, or an arbitrary [`JobKind::Custom`] closure — on one
-//! ring size, under one [`FaultPlan`], with one solver and tolerance. Its
+//! ring size, under one [`FaultPlan`], with one tolerance. Its
 //! [`key`](JobSpec::key) is a stable string that identifies the job in
 //! every report; the driver sorts and deduplicates by it, which is what
 //! makes aggregated output order-independent.
@@ -13,7 +13,6 @@ use std::time::Duration;
 
 use pa_core::SetExpr;
 use pa_faults::{FaultPlan, DEFAULT_STATE_LIMIT};
-use pa_mdp::Solver;
 use pa_telemetry::TelemetrySnapshot;
 
 use crate::driver::JobCtx;
@@ -169,8 +168,6 @@ pub struct JobSpec {
     pub plan_name: String,
     /// The fault schedule the model is built under.
     pub plan: FaultPlan,
-    /// Value-iteration engine for the job's queries.
-    pub solver: Solver,
     /// Convergence tolerance for unbounded queries.
     pub epsilon: f64,
     /// Cap on explored states.
@@ -178,15 +175,14 @@ pub struct JobSpec {
 }
 
 impl JobSpec {
-    /// A job with the default knobs: no faults, Jacobi, `1e-9`, the
-    /// workspace state limit.
+    /// A job with the default knobs: no faults, `1e-9`, the workspace
+    /// state limit.
     pub fn new(n: usize, kind: JobKind) -> JobSpec {
         JobSpec {
             n,
             kind,
             plan_name: "none".to_string(),
             plan: FaultPlan::none(),
-            solver: Solver::Jacobi,
             epsilon: 1e-9,
             state_limit: DEFAULT_STATE_LIMIT,
         }
@@ -196,12 +192,6 @@ impl JobSpec {
     pub fn with_plan(mut self, name: impl Into<String>, plan: FaultPlan) -> JobSpec {
         self.plan_name = name.into();
         self.plan = plan;
-        self
-    }
-
-    /// Replaces the solver.
-    pub fn with_solver(mut self, solver: Solver) -> JobSpec {
-        self.solver = solver;
         self
     }
 
@@ -220,12 +210,11 @@ impl JobSpec {
     /// The job's stable identity: reports sort by it, the driver rejects
     /// duplicates of it, and the worker-invariance digest hashes over it.
     pub fn key(&self) -> String {
-        let solver = match self.solver {
-            Solver::Jacobi => "jacobi",
-            Solver::SccOrdered => "scc",
-        };
+        // `solver=jacobi` names the one value-iteration engine. It stays in
+        // the key so the batch invariance digest and the keys persisted in
+        // `pa-serve/report/v1` files remain byte-identical.
         format!(
-            "{}|n={}|plan={}|solver={solver}|eps={:e}",
+            "{}|n={}|plan={}|solver=jacobi|eps={:e}",
             self.kind.key_fragment(),
             self.n,
             self.plan_name,
@@ -409,8 +398,6 @@ mod tests {
     fn keys_are_stable_and_distinguish_knobs() {
         let base = JobSpec::new(3, JobKind::Arrow { index: 2 });
         assert_eq!(base.key(), "arrow:2|n=3|plan=none|solver=jacobi|eps=1e-9");
-        let scc = base.clone().with_solver(Solver::SccOrdered);
-        assert_ne!(base.key(), scc.key());
         let other_plan = base.clone().with_plan(
             "crash-stop r2 p0",
             FaultPlan::single(2, 0, pa_faults::FaultKind::CrashStop).unwrap(),

@@ -14,13 +14,11 @@ use pa_batch::{
 use pa_core::SetExpr;
 use pa_faults::{check_arrow_under, default_grid, FaultKind, FaultPlan};
 use pa_lehmann_rabin::{max_expected_time, paper, RoundConfig, RoundMdp};
-use pa_mdp::Solver;
 
 /// Serializes tests that toggle the process-global telemetry flag.
 static TELEMETRY_LOCK: Mutex<()> = Mutex::new(());
 
-/// A representative mixed job set on n = 3: every kind, two fault plans,
-/// both solvers represented.
+/// A representative mixed job set on n = 3: every kind, two fault plans.
 fn mixed_specs() -> Vec<JobSpec> {
     let crash = FaultPlan::single(2, 0, FaultKind::CrashStop).unwrap();
     let mut specs = Vec::new();
@@ -31,7 +29,8 @@ fn mixed_specs() -> Vec<JobSpec> {
         );
     }
     specs.push(JobSpec::new(3, JobKind::ComposedArrow));
-    specs.push(JobSpec::new(3, JobKind::ComposedArrow).with_solver(Solver::SccOrdered));
+    specs
+        .push(JobSpec::new(3, JobKind::ComposedArrow).with_plan("crash-stop r2 p0", crash.clone()));
     specs.push(JobSpec::new(
         3,
         JobKind::ExpectedTime {

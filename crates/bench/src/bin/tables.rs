@@ -8,9 +8,6 @@
 //!                                     # regenerate BENCH_mdp.json instead
 //! cargo run --release -p pa-bench --bin tables -- --bench-json --smoke --out BENCH_smoke.json
 //!                                     # small fixed instance for CI gating
-//! cargo run --release -p pa-bench --bin tables -- --solver scc
-//!                                     # run the experiments on the
-//!                                     # SCC-condensed solver
 //! cargo run --release -p pa-bench --bin tables -- --batch --workers 4
 //!                                     # full E1–E15 × n=3..5 through the
 //!                                     # pa-batch driver (shared models)
@@ -40,15 +37,6 @@ use serde::Serialize;
 
 fn main() -> Result<(), Box<dyn Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(i) = args.iter().position(|a| a == "--solver") {
-        let which = args.get(i + 1).map(String::as_str);
-        match which {
-            Some("jacobi") => pa_mdp::set_default_solver(pa_mdp::Solver::Jacobi),
-            Some("scc") => pa_mdp::set_default_solver(pa_mdp::Solver::SccOrdered),
-            other => return Err(format!("--solver needs 'jacobi' or 'scc', got {other:?}").into()),
-        }
-        println!("default solver: {}", which.expect("matched above"));
-    }
     if args.iter().any(|a| a == "--batch") {
         let smoke = args.iter().any(|a| a == "--smoke");
         let workers = args
@@ -259,21 +247,13 @@ fn main() -> Result<(), Box<dyn Error>> {
                 ring.vi_sweeps_per_sec.csr_per_sec,
                 ring.vi_sweeps_per_sec.speedup,
             );
-            println!(
-                "     scc: {} components ({} nontrivial), updates {} -> {} (ratio {:.3})",
-                ring.scc.components,
-                ring.scc.nontrivial_components,
-                ring.scc.jacobi_updates,
-                ring.scc.scc_updates,
-                ring.scc.update_ratio,
-            );
         }
         println!(
             "telemetry probe: {} VI sweeps, {} states explored, {} MC trials; \
              overhead on/off = {:.3}",
-            report.telemetry.counter("mdp.vi.sweeps").unwrap_or(0),
-            report.telemetry.counter("mdp.explore.states").unwrap_or(0),
-            report.telemetry.counter("sim.mc.trials").unwrap_or(0),
+            report.telemetry.counter("mdp.vi.sweeps"),
+            report.telemetry.counter("mdp.explore.states"),
+            report.telemetry.counter("sim.mc.trials"),
             report.telemetry_overhead.enabled_over_disabled,
         );
         println!(
@@ -353,13 +333,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         return Ok(());
     }
     let full = args.iter().any(|a| a == "--full");
-    // `--solver`'s value is a flag argument, not an experiment selection.
-    let solver_value_idx = args.iter().position(|a| a == "--solver").map(|i| i + 1);
     let selected: Vec<String> = args
         .iter()
-        .enumerate()
-        .filter(|(i, a)| !a.starts_with("--") && Some(*i) != solver_value_idx)
-        .map(|(_, a)| a.to_lowercase())
+        .filter(|a| !a.starts_with("--"))
+        .map(|a| a.to_lowercase())
         .collect();
     let want = |ids: &[&str]| {
         selected.is_empty() || ids.iter().any(|id| selected.contains(&id.to_lowercase()))

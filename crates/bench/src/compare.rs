@@ -14,8 +14,7 @@
 //!    drift is a semantic change, not noise.
 //! 2. **Speedup ratios** (CSR over seed engine) must not regress by more
 //!    than the tolerance; ratios compare a machine against itself so they
-//!    transfer across hosts. The SCC `update_ratio` is gated one-sided
-//!    the same way.
+//!    transfer across hosts.
 //! 3. **Telemetry sanity**: the counters proving the instrumentation
 //!    fired must be positive.
 //! 4. **Fault-subsystem invariants** (schema ≥ v4): survival tallies
@@ -41,7 +40,7 @@
 //! 9. **Out-of-core invariants** (schema ≥ v9): the stored backend's
 //!    value digests must equal the in-core digest at both the unbounded
 //!    and the one-block cache budget (hard fail — a drift means the
-//!    block-streamed engines diverged from the CSR kernels), the digests
+//!    block engines diverged across block splits), the digests
 //!    must match the baseline exactly, the structural counts (states,
 //!    blocks) are exact, the tight-budget probe must actually fault and
 //!    evict, and peak paging residency must stay within budget + two
@@ -91,19 +90,6 @@ impl Gate {
         if current < floor {
             self.fail(format!(
                 "{what}: {current:.3} regressed more than {}% below baseline {baseline:.3}",
-                self.tolerance_pct
-            ));
-        }
-    }
-
-    /// Ratio metrics where smaller is better: fail when `current` rises
-    /// more than `tolerance_pct` above `baseline`.
-    pub fn check_ratio_le(&mut self, what: &str, baseline: f64, current: f64) {
-        self.checks += 1;
-        let ceiling = baseline * (1.0 + self.tolerance_pct / 100.0);
-        if current > ceiling {
-            self.fail(format!(
-                "{what}: {current:.3} regressed more than {}% above baseline {baseline:.3}",
                 self.tolerance_pct
             ));
         }
@@ -270,29 +256,6 @@ fn gate_rings(gate: &mut Gate, baseline: &Json, current: &Json) {
                 _ => gate.fail(format!("n={n} {family}.speedup: missing")),
             }
         }
-        // The condensation is structural: component counts must reproduce
-        // exactly, and the SCC solver must keep doing less work than
-        // Jacobi (one-sided tolerance on the update ratio).
-        for metric in ["components", "nontrivial_components"] {
-            let base = ring
-                .path(&["scc", metric])
-                .and_then(Json::as_f64)
-                .unwrap_or(f64::NAN);
-            match ring_metric(current, n, &["scc", metric]) {
-                Some(cur) => gate.check_exact(&format!("n={n} scc.{metric}"), base, cur),
-                None => gate.fail(format!("n={n} scc.{metric}: missing from current artifact")),
-            }
-        }
-        let base = ring.path(&["scc", "update_ratio"]).and_then(Json::as_f64);
-        let cur = ring_metric(current, n, &["scc", "update_ratio"]);
-        match (base, cur) {
-            (Some(b), Some(c)) => gate.check_ratio_le(&format!("n={n} scc.update_ratio"), b, c),
-            _ => gate.fail(format!("n={n} scc.update_ratio: missing")),
-        }
-        gate.check_positive(
-            &format!("n={n} scc.saved_updates"),
-            ring_metric(current, n, &["scc", "saved_updates"]),
-        );
     }
 }
 
@@ -301,8 +264,6 @@ fn gate_telemetry(gate: &mut Gate, current: &Json, with_mc: bool) {
         "mdp.vi.sweeps",
         "mdp.explore.states",
         "sim.mc.trials",
-        "mdp.scc.runs",
-        "mdp.scc.components",
         "faults.crashes_injected",
         "faults.restarts",
         "faults.obligations_dropped",

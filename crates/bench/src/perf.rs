@@ -52,7 +52,7 @@ use pa_lehmann_rabin::{
 };
 use pa_mdp::{
     reference, Choice, CsrMdp, ExplicitMdp, Explore, IterOptions, MdpError, Objective, Query,
-    QueryObjective, RingRotation, Solver, StateSpace,
+    QueryObjective, RingRotation, StateSpace,
 };
 use pa_sim::MonteCarlo;
 use pa_telemetry::TelemetrySnapshot;
@@ -137,31 +137,6 @@ fn throughput(units: f64, baseline_seconds: f64, csr_seconds: f64) -> Throughput
     }
 }
 
-/// SCC-condensed solve vs plain Jacobi on the same converged unbounded
-/// reachability query. Update counts are deterministic (same model, same
-/// tolerance), so they gate regressions exactly; the seconds are wall
-/// clock and only indicative.
-#[derive(Debug, Clone, Serialize)]
-pub struct SccBench {
-    /// Strongly connected components of the choice graph.
-    pub components: u64,
-    /// Components with an internal cycle (size > 1 or a self-loop).
-    pub nontrivial_components: u64,
-    /// State updates the plain Jacobi solver performed to converge.
-    pub jacobi_updates: u64,
-    /// State updates the SCC-ordered solver performed on the same query.
-    pub scc_updates: u64,
-    /// `jacobi_updates - scc_updates` (saturating).
-    pub saved_updates: u64,
-    /// `scc_updates / jacobi_updates`; < 1.0 means the condensed order
-    /// does strictly less work.
-    pub update_ratio: f64,
-    /// Wall-clock seconds of the Jacobi solve.
-    pub jacobi_seconds: f64,
-    /// Wall-clock seconds of the SCC-ordered solve.
-    pub scc_seconds: f64,
-}
-
 /// One ring size's measurements.
 #[derive(Debug, Clone, Serialize)]
 pub struct RingBench {
@@ -181,8 +156,6 @@ pub struct RingBench {
     pub explore_states_per_sec: Throughput,
     /// Value-iteration throughput in sweeps/sec.
     pub vi_sweeps_per_sec: Throughput,
-    /// SCC-condensed vs Jacobi solver comparison on the unbounded query.
-    pub scc: SccBench,
 }
 
 /// Machine identification recorded alongside the numbers.
@@ -275,7 +248,7 @@ pub fn faults_bench(limit: usize) -> Result<FaultsBench, Box<dyn std::error::Err
 
     // Crash every process at round 2 and certify that the resulting dead
     // states are exactly deterministic `EndRound` self-loops — the
-    // absorbing structure both solvers rely on.
+    // absorbing structure the solver relies on.
     let total_crash = FaultPlan::new(
         (0..3)
             .map(|process| FaultEvent {
@@ -1097,48 +1070,6 @@ pub fn bench_ring(n: usize, limit: usize) -> Result<RingBench, MdpError> {
         jacobi[start]
     );
 
-    // SCC-condensed vs Jacobi, this time with a *converging* tolerance so
-    // the update counts reflect real solves rather than the fixed timing
-    // budget above.
-    let scc_opts = IterOptions::default();
-    let t0 = Instant::now();
-    let ja = Query::csr(&csr)
-        .objective(QueryObjective::MaxProb)
-        .target(&target)
-        .solver(Solver::Jacobi)
-        .options(scc_opts)
-        .run()?;
-    let scc_jacobi_seconds = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let sc = Query::csr(&csr)
-        .objective(QueryObjective::MaxProb)
-        .target(&target)
-        .solver(Solver::SccOrdered)
-        .options(scc_opts)
-        .run()?;
-    let scc_seconds = t0.elapsed().as_secs_f64();
-
-    assert!(
-        (ja.value(start) - sc.value(start)).abs() < 1e-9,
-        "solvers disagree: {} vs {}",
-        ja.value(start),
-        sc.value(start)
-    );
-    let scc = SccBench {
-        components: sc.stats.components,
-        nontrivial_components: sc.stats.nontrivial_components,
-        jacobi_updates: ja.stats.state_updates,
-        scc_updates: sc.stats.state_updates,
-        saved_updates: ja
-            .stats
-            .state_updates
-            .saturating_sub(sc.stats.state_updates),
-        update_ratio: sc.stats.state_updates as f64 / ja.stats.state_updates.max(1) as f64,
-        jacobi_seconds: scc_jacobi_seconds,
-        scc_seconds,
-    };
-
     Ok(RingBench {
         n,
         states,
@@ -1148,7 +1079,6 @@ pub fn bench_ring(n: usize, limit: usize) -> Result<RingBench, MdpError> {
         csr_build_seconds: csr_build,
         explore_states_per_sec: throughput(states as f64, explore_baseline, explore_csr),
         vi_sweeps_per_sec: throughput(sweeps as f64, vi_baseline, vi_csr),
-        scc,
     })
 }
 
@@ -1174,14 +1104,6 @@ pub fn telemetry_probe() -> Result<TelemetrySnapshot, Box<dyn std::error::Error>
             max_sweeps: 10_000,
         };
         csr.reach_prob(&target, Objective::MinProb, opts, None)?;
-        // One SCC-ordered solve so the `mdp.scc.*` counters show up in the
-        // snapshot the CI gate inspects.
-        Query::csr(&csr)
-            .objective(QueryObjective::MinProb)
-            .target(&target)
-            .solver(Solver::SccOrdered)
-            .options(opts)
-            .run()?;
 
         let sim = sims::LrSim::new(3, sims::RoundRobin)?.with_start(sims::all_trying(3)?);
         let mc = MonteCarlo::new(2_000, 42, 60);
@@ -1301,10 +1223,6 @@ pub fn bench_ring_best_of(n: usize, limit: usize, repeats: usize) -> Result<Ring
             let csr = b.csr_seconds.min(x.csr_seconds);
             *b = throughput(units, baseline, csr);
         }
-        // Update counts are deterministic across repeats; only the wall
-        // clock needs the noise filter.
-        best.scc.jacobi_seconds = best.scc.jacobi_seconds.min(next.scc.jacobi_seconds);
-        best.scc.scc_seconds = best.scc.scc_seconds.min(next.scc.scc_seconds);
     }
     Ok(best)
 }
@@ -1438,17 +1356,6 @@ mod tests {
         assert!(b.explore_states_per_sec.csr_per_sec > 0.0);
         assert!(b.vi_sweeps_per_sec.baseline_per_sec > 0.0);
         assert!(b.sweeps_timed >= 4);
-        // The condensed order must do strictly less work than Jacobi on
-        // the ring model — this is the claim BENCH_mdp.json ships.
-        assert!(b.scc.components > 0);
-        assert!(
-            b.scc.scc_updates < b.scc.jacobi_updates,
-            "scc {} vs jacobi {}",
-            b.scc.scc_updates,
-            b.scc.jacobi_updates
-        );
-        assert!(b.scc.saved_updates > 0);
-        assert!(b.scc.update_ratio < 1.0);
     }
 
     #[test]

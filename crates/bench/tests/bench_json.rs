@@ -24,24 +24,6 @@ fn bench_report_emits_a_valid_telemetry_block() {
         Some(1)
     );
 
-    // The SCC block carries the work-reduction evidence: the condensed
-    // order must do strictly less than whole-graph Jacobi on the ring.
-    let ring_metric = |keys: &[&str]| {
-        doc.get("rings")
-            .and_then(Json::as_array)
-            .and_then(|rs| rs.first())
-            .and_then(|r| r.path(keys))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("ring metric {keys:?} missing"))
-    };
-    assert!(ring_metric(&["scc", "components"]) > 0.0);
-    assert!(
-        ring_metric(&["scc", "scc_updates"]) < ring_metric(&["scc", "jacobi_updates"]),
-        "SCC order must save updates"
-    );
-    assert!(ring_metric(&["scc", "update_ratio"]) < 1.0);
-    assert!(ring_metric(&["scc", "saved_updates"]) > 0.0);
-
     // The probe drove every instrumented crate: exploration, value
     // iteration, round expansion, Monte-Carlo and RNG-stream creation all
     // show up as positive counters.
@@ -59,8 +41,6 @@ fn bench_report_emits_a_valid_telemetry_block() {
     assert!(counter("mdp.vi.sweeps") > 0.0);
     assert!(counter("mdp.vi.runs") >= 1.0);
     assert!(counter("mdp.explore.states") > 0.0);
-    assert!(counter("mdp.scc.runs") >= 1.0);
-    assert!(counter("mdp.scc.components") > 0.0);
     assert!(counter("lr.round.expansions") > 0.0);
     assert_eq!(counter("sim.mc.trials"), 2000.0);
     assert!(counter("sim.mc.rng_draws") > 0.0);
@@ -303,11 +283,7 @@ fn bench_report_emits_a_valid_telemetry_block() {
             )
         })
     {
-        assert_eq!(
-            report.telemetry.counter(name),
-            Some(json_value as u64),
-            "{name}"
-        );
+        assert_eq!(report.telemetry.counter(name), json_value as u64, "{name}");
     }
     assert_eq!(
         snap_doc.get("enabled").and_then(Json::as_bool),
@@ -315,9 +291,9 @@ fn bench_report_emits_a_valid_telemetry_block() {
     );
 }
 
-fn gate_artifact(states: u64, speedup: f64, sweeps: u64, update_ratio: f64) -> String {
+fn gate_artifact(states: u64, speedup: f64, sweeps: u64) -> String {
     format!(
-        r#"{{"schema":"pa-bench/mdp-throughput/v5","rings":[{{"n":3,"states":{states},"choices":10,"transitions":20,"explore_states_per_sec":{{"speedup":{speedup}}},"vi_sweeps_per_sec":{{"speedup":{speedup}}},"scc":{{"components":188,"nontrivial_components":103,"jacobi_updates":3752,"scc_updates":1591,"saved_updates":2161,"update_ratio":{update_ratio}}}}}],"telemetry":{{"counters":[{{"name":"mdp.vi.sweeps","value":{sweeps}}},{{"name":"mdp.explore.states","value":{states}}},{{"name":"sim.mc.trials","value":2000}},{{"name":"mdp.scc.runs","value":1}},{{"name":"mdp.scc.components","value":188}},{{"name":"faults.crashes_injected","value":4}},{{"name":"faults.restarts","value":2}},{{"name":"faults.obligations_dropped","value":3}},{{"name":"faults.envelope_violations","value":1}},{{"name":"mdp.tag.tagged_choices","value":8}}]}},"telemetry_overhead":{{"enabled_over_disabled":1.01}},"faults":{{"holds":16,"degraded":0,"fails":4,"zero_fault_bitwise_equal":true,"crash_tagged_choices":8,"crash_absorbing_violations":0}},"batch":{{"jobs":37,"done":37,"failed":0,"violated":4,"model_cache_hits":20,"model_cache_misses":4,"cache_hit_rate":0.833,"distinct_models":4,"worker_invariant":true,"invariance_digest":"00deadbeef00cafe"}}}}"#
+        r#"{{"schema":"pa-bench/mdp-throughput/v5","rings":[{{"n":3,"states":{states},"choices":10,"transitions":20,"explore_states_per_sec":{{"speedup":{speedup}}},"vi_sweeps_per_sec":{{"speedup":{speedup}}}}}],"telemetry":{{"counters":[{{"name":"mdp.vi.sweeps","value":{sweeps}}},{{"name":"mdp.explore.states","value":{states}}},{{"name":"sim.mc.trials","value":2000}},{{"name":"faults.crashes_injected","value":4}},{{"name":"faults.restarts","value":2}},{{"name":"faults.obligations_dropped","value":3}},{{"name":"faults.envelope_violations","value":1}},{{"name":"mdp.tag.tagged_choices","value":8}}]}},"telemetry_overhead":{{"enabled_over_disabled":1.01}},"faults":{{"holds":16,"degraded":0,"fails":4,"zero_fault_bitwise_equal":true,"crash_tagged_choices":8,"crash_absorbing_violations":0}},"batch":{{"jobs":37,"done":37,"failed":0,"violated":4,"model_cache_hits":20,"model_cache_misses":4,"cache_hit_rate":0.833,"distinct_models":4,"worker_invariant":true,"invariance_digest":"00deadbeef00cafe"}}}}"#
     )
 }
 
@@ -341,14 +317,14 @@ fn run_gate(baseline: &str, current: &str, tolerance: &str) -> bool {
 
 #[test]
 fn compare_bench_passes_identical_artifacts() {
-    let artifact = gate_artifact(536, 2.0, 640, 0.424);
+    let artifact = gate_artifact(536, 2.0, 640);
     assert!(run_gate(&artifact, &artifact, "20"));
 }
 
 #[test]
 fn compare_bench_tolerates_small_speedup_drift() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
-    let current = gate_artifact(536, 1.7, 640, 0.45);
+    let baseline = gate_artifact(536, 2.0, 640);
+    let current = gate_artifact(536, 1.7, 640);
     assert!(
         run_gate(&baseline, &current, "20"),
         "15% drift is within 20%"
@@ -357,32 +333,22 @@ fn compare_bench_tolerates_small_speedup_drift() {
 
 #[test]
 fn compare_bench_fails_speedup_regression() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
-    let current = gate_artifact(536, 1.5, 640, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
+    let current = gate_artifact(536, 1.5, 640);
     assert!(!run_gate(&baseline, &current, "20"), "25% drop must fail");
 }
 
 #[test]
-fn compare_bench_fails_update_ratio_regression() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
-    let current = gate_artifact(536, 2.0, 640, 0.60);
-    assert!(
-        !run_gate(&baseline, &current, "20"),
-        "SCC doing 42% more relative work must fail"
-    );
-}
-
-#[test]
 fn compare_bench_fails_structural_drift() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
-    let current = gate_artifact(537, 2.0, 640, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
+    let current = gate_artifact(537, 2.0, 640);
     assert!(!run_gate(&baseline, &current, "20"));
 }
 
 #[test]
 fn compare_bench_fails_dead_telemetry() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
-    let current = gate_artifact(536, 2.0, 0, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
+    let current = gate_artifact(536, 2.0, 0);
     assert!(
         !run_gate(&baseline, &current, "20"),
         "zero sweeps = dead probe"
@@ -391,7 +357,7 @@ fn compare_bench_fails_dead_telemetry() {
 
 #[test]
 fn compare_bench_fails_broken_zero_fault_identity() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
     let current = baseline.replace(
         r#""zero_fault_bitwise_equal":true"#,
         r#""zero_fault_bitwise_equal":false"#,
@@ -402,7 +368,7 @@ fn compare_bench_fails_broken_zero_fault_identity() {
 
 #[test]
 fn compare_bench_fails_absorbing_violations() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
     let current = baseline.replace(
         r#""crash_absorbing_violations":0"#,
         r#""crash_absorbing_violations":2"#,
@@ -413,7 +379,7 @@ fn compare_bench_fails_absorbing_violations() {
 
 #[test]
 fn compare_bench_fails_digest_drift() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
     let current = baseline.replace(
         r#""invariance_digest":"00deadbeef00cafe""#,
         r#""invariance_digest":"00deadbeef00beef""#,
@@ -427,7 +393,7 @@ fn compare_bench_fails_digest_drift() {
 
 #[test]
 fn compare_bench_fails_lost_worker_invariance() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
     let current = baseline.replace(r#""worker_invariant":true"#, r#""worker_invariant":false"#);
     assert_ne!(baseline, current, "the replace must hit");
     assert!(!run_gate(&baseline, &current, "20"));
@@ -435,7 +401,7 @@ fn compare_bench_fails_lost_worker_invariance() {
 
 #[test]
 fn compare_bench_fails_cache_count_drift() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
     let current = baseline.replace(r#""model_cache_hits":20"#, r#""model_cache_hits":19"#);
     assert_ne!(baseline, current, "the replace must hit");
     assert!(
@@ -446,7 +412,7 @@ fn compare_bench_fails_cache_count_drift() {
 
 #[test]
 fn compare_bench_fails_survival_tally_drift() {
-    let baseline = gate_artifact(536, 2.0, 640, 0.424);
+    let baseline = gate_artifact(536, 2.0, 640);
     let current = baseline
         .replace(r#""holds":16"#, r#""holds":15"#)
         .replace(r#""fails":4"#, r#""fails":5"#);
@@ -466,7 +432,7 @@ fn mc_block(digest: &str, contains: bool, invariant: bool) -> String {
 /// A v6 artifact: the v5 fixture plus the `mc` block and its telemetry
 /// counters.
 fn gate_artifact_v6(digest: &str, contains: bool, invariant: bool) -> String {
-    let mut doc = gate_artifact(536, 2.0, 640, 0.424)
+    let mut doc = gate_artifact(536, 2.0, 640)
         .replace("pa-bench/mdp-throughput/v5", "pa-bench/mdp-throughput/v6")
         .replace(
             r#"{"name":"mdp.tag.tagged_choices","value":8}"#,
@@ -710,7 +676,7 @@ fn compare_bench_fails_standalone_mc_digest_drift() {
 #[test]
 fn unknown_schema_is_a_named_failure_not_a_silent_pass() {
     use pa_bench::compare::compare_docs;
-    let doc = gate_artifact(536, 2.0, 640, 0.424)
+    let doc = gate_artifact(536, 2.0, 640)
         .replace("pa-bench/mdp-throughput/v5", "pa-bench/mdp-throughput/v99");
     let parsed = Json::parse(&doc).unwrap();
     let gate = compare_docs(&parsed, &parsed, 20.0);
@@ -726,11 +692,10 @@ fn unknown_schema_is_a_named_failure_not_a_silent_pass() {
 #[test]
 fn missing_required_block_is_a_named_failure() {
     use pa_bench::compare::compare_docs;
-    let baseline = Json::parse(&gate_artifact(536, 2.0, 640, 0.424)).unwrap();
-    let current = Json::parse(
-        &gate_artifact(536, 2.0, 640, 0.424).replace(r#""batch":"#, r#""batch_gone":"#),
-    )
-    .unwrap();
+    let baseline = Json::parse(&gate_artifact(536, 2.0, 640)).unwrap();
+    let current =
+        Json::parse(&gate_artifact(536, 2.0, 640).replace(r#""batch":"#, r#""batch_gone":"#))
+            .unwrap();
     let gate = compare_docs(&baseline, &current, 20.0);
     assert!(
         gate.failures

@@ -2,7 +2,7 @@
 //! [`FaultPlan`] over the Lehmann–Rabin round semantics
 //! ([`pa_lehmann_rabin::RoundMdp`]) into an ordinary
 //! [`pa_core::Automaton`], so the whole `pa-mdp` pipeline — exploration,
-//! [`pa_mdp::Query`], both solvers — applies unchanged.
+//! [`pa_mdp::Query`] — applies unchanged.
 //!
 //! Semantics, relative to the fault-free round model:
 //!
@@ -31,7 +31,7 @@
 //! `EndRound` self-loops (time still diverges, as `Unit-Time` requires,
 //! but nothing else ever happens). [`FaultyRoundMdp::crash_tags`] tags
 //! exactly those choices so [`pa_mdp::tagged_absorbing_violations`] can
-//! certify the absorbing structure both solvers rely on.
+//! certify the absorbing structure the solver relies on.
 
 use std::sync::Arc;
 
@@ -233,7 +233,7 @@ impl FaultyRoundMdp {
 
     /// Tags the `EndRound` choices of dead states with [`TAG_CRASH`] so
     /// [`pa_mdp::tagged_absorbing_violations`] can certify they are
-    /// absorbing self-loops before either solver runs.
+    /// absorbing self-loops before any analysis runs.
     pub fn crash_tags<SP: pa_mdp::StateSpace<FaultyRoundState>>(
         &self,
         explored: &Explored<FaultyRoundState, SP>,

@@ -15,8 +15,8 @@
 //!   objective ([`QueryObjective`]: bounded/unbounded reachability per
 //!   Definition 3.1, worst/best-case expected time per Section 6.2),
 //!   target (mask, index list, or predicate), optional time horizon,
-//!   solver, tolerance, worker count, and policy extraction behind a
-//!   single [`Query::run`] returning a typed [`Analysis`].
+//!   tolerance, worker count, and policy extraction behind a single
+//!   [`Query::run`] returning a typed [`Analysis`].
 //! * [`check_invariant`] — exhaustive invariant checking with shortest
 //!   witness paths (Lemma 6.1).
 //! * [`tag_choices`] — annotate explored choices (e.g. fault-injected
@@ -28,17 +28,15 @@
 //! after their deprecation cycle; every analysis now goes through
 //! [`Query`].
 //!
-//! All quantitative analyses run on a compressed-sparse-row engine
-//! ([`CsrMdp`]): the nested model is flattened once into contiguous arrays
-//! and swept with double-buffered Jacobi value iteration, parallelized
-//! across disjoint state chunks with results that are bit-for-bit
-//! identical for every worker count. Alternatively,
-//! [`Solver::SccOrdered`] condenses the choice graph into strongly
-//! connected components first ([`SccDecomposition`]) and solves them in
-//! reverse topological order — far fewer state updates on the layered
-//! round models this workspace targets (see the `query` module docs for
-//! selection guidance). [`Explore::workers`] parallelizes state-space
-//! exploration the same way (level-synchronized, deterministic merge). The
+//! Every analysis has exactly one implementation: the block engines of
+//! [`mod@source`], which run on any [`CsrSource`]. An in-core [`CsrMdp`] (the
+//! nested model flattened once into contiguous arrays) is a source with a
+//! single block; `pa-store`'s stored models page many blocks through a
+//! byte-budgeted cache. Value iteration is double-buffered Jacobi,
+//! parallelized across disjoint state chunks inside each block, with
+//! results that are bit-for-bit identical for every worker count and every
+//! block split. [`Explore::workers`] parallelizes state-space exploration
+//! the same way (level-synchronized, deterministic merge). The
 //! [`mod@reference`] module retains nested-model oracles — both a Jacobi
 //! twin (bitwise comparison) and the original Gauss–Seidel engine
 //! (tolerance comparison, benchmark baseline) — used by the property
@@ -80,25 +78,21 @@ mod horizon;
 mod model;
 pub mod query;
 pub mod reference;
-mod scc;
 pub mod source;
 pub mod space;
 pub mod symmetry;
 mod tag;
 mod value_iter;
 
-pub use csr::{resolve_workers, CsrMdp, SolveStats};
+pub use csr::CsrMdp;
 pub use error::MdpError;
 pub use expected::{has_zero_cost_cycle, min_expected_cost, ExpectedCost};
 pub use explore::{check_invariant, Explore, Explored, InvariantResult, RowSink, StreamSummary};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use horizon::{cost_bounded_reach_levels, BoundedPolicy, Objective};
 pub use model::{Choice, ExplicitMdp};
-pub use query::{
-    default_solver, set_default_solver, Analysis, IntoTarget, Query, QueryObjective, Solver,
-};
-pub use scc::SccDecomposition;
-pub use source::{csr_digest, CsrRows, CsrSource};
+pub use query::{Analysis, IntoTarget, Query, QueryObjective};
+pub use source::{csr_digest, resolve_workers, CsrRows, CsrSource, SolveStats};
 pub use space::{BoxedSpace, PackedSpace, StateCodec, StateSpace};
 pub use symmetry::{RingRotation, RingState, Symmetry};
 pub use tag::{tag_choices, tagged_absorbing_violations, ChoiceTags, TAG_NONE};

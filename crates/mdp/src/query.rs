@@ -32,23 +32,20 @@
 //! stage that failed and the root cause as its
 //! [`source`](std::error::Error::source).
 //!
-//! # Solver selection
+//! # One engine for every backend
 //!
-//! [`Solver::Jacobi`] is the original engine: global double-buffered
-//! sweeps, deterministically parallel, bit-for-bit reproducible across
-//! worker counts. [`Solver::SccOrdered`] condenses the choice graph first
-//! and solves components in reverse topological order (see
-//! [`crate::SccDecomposition`]); on layered models such as the
-//! Lehmann–Rabin round MDPs it performs strictly fewer state updates. Per
-//! query, pick one with [`Query::solver`]; process-wide, flip the default
-//! with [`set_default_solver`] (how `tables --solver scc` switches every
-//! migrated call site at once).
+//! Every query runs on the block engines of [`crate::source`], whatever the
+//! model: a nested [`ExplicitMdp`] (flattened once by [`Query::over`]), an
+//! in-core [`CsrMdp`] (a single block) or an out-of-core [`CsrSource`]
+//! (many blocks paged through a cache). Sweeps are double-buffered Jacobi
+//! iterations, chunked inside each block across [`Query::workers`]
+//! threads, and bit-for-bit identical for every worker count and every
+//! block split.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-
-use crate::csr::SolveStats;
-use crate::source::{self, CsrSource};
-use crate::{BoundedPolicy, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective};
+use crate::source::{self, CsrSource, SolveStats};
+use crate::{
+    resolve_workers, BoundedPolicy, CsrMdp, ExplicitMdp, IterOptions, MdpError, Objective,
+};
 
 /// What a [`Query`] optimizes, quantifying over all adversaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,39 +67,6 @@ impl From<Objective> for QueryObjective {
             Objective::MinProb => QueryObjective::MinProb,
             Objective::MaxProb => QueryObjective::MaxProb,
         }
-    }
-}
-
-/// Which value-iteration engine a [`Query`] runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Solver {
-    /// Global double-buffered Jacobi sweeps, deterministically parallel.
-    Jacobi,
-    /// SCC-condensed sweeps: components of the choice graph are solved in
-    /// reverse topological order against already-fixed successors.
-    SccOrdered,
-}
-
-/// The process-wide default solver used by queries that do not call
-/// [`Query::solver`]: 0 = Jacobi, 1 = SccOrdered.
-static DEFAULT_SOLVER: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide default solver for queries that do not pick one
-/// explicitly. Callers that owe bitwise-stable outputs (oracle tests, the
-/// bench baselines) pin [`Solver::Jacobi`] per query and are unaffected.
-pub fn set_default_solver(solver: Solver) {
-    let v = match solver {
-        Solver::Jacobi => 0,
-        Solver::SccOrdered => 1,
-    };
-    DEFAULT_SOLVER.store(v, Ordering::Relaxed);
-}
-
-/// The current process-wide default solver.
-pub fn default_solver() -> Solver {
-    match DEFAULT_SOLVER.load(Ordering::Relaxed) {
-        0 => Solver::Jacobi,
-        _ => Solver::SccOrdered,
     }
 }
 
@@ -181,13 +145,10 @@ pub struct Analysis {
     /// The optimal cost-indexed policy, when [`Query::with_policy`] was
     /// requested.
     pub policy: Option<BoundedPolicy>,
-    /// Work counters of the solve (sweeps, state updates, condensation
-    /// shape).
+    /// Work counters of the solve (sweeps, state updates).
     pub stats: SolveStats,
     /// The objective that was solved.
     pub objective: QueryObjective,
-    /// The solver that ran.
-    pub solver: Solver,
     /// The time horizon, if the query was cost-bounded.
     pub horizon: Option<u32>,
 }
@@ -199,46 +160,34 @@ impl Analysis {
     }
 }
 
-/// The model a query runs against: a borrowed, already-flattened CSR (so
-/// repeated queries amortize the flattening), one built and owned by the
-/// query itself, or any [`CsrSource`] backend (e.g. an out-of-core stored
-/// model) driven through the block-streamed engines.
+/// The model a query runs against: a CSR flattened and owned by the query
+/// itself, or any borrowed [`CsrSource`] backend (an in-core [`CsrMdp`],
+/// so repeated queries amortize the flattening, or an out-of-core stored
+/// model).
 enum QueryModel<'m> {
-    Borrowed(&'m CsrMdp),
     Owned(CsrMdp),
     Source(&'m dyn CsrSource),
 }
 
 impl QueryModel<'_> {
-    fn get(&self) -> &CsrMdp {
+    fn source(&self) -> &dyn CsrSource {
         match self {
-            QueryModel::Borrowed(m) => m,
             QueryModel::Owned(m) => m,
-            QueryModel::Source(_) => unreachable!("source queries never flatten"),
-        }
-    }
-
-    fn num_states(&self) -> usize {
-        match self {
-            QueryModel::Borrowed(m) => m.num_states(),
-            QueryModel::Owned(m) => m.num_states(),
-            QueryModel::Source(s) => s.num_states(),
+            QueryModel::Source(s) => *s,
         }
     }
 }
 
 /// A builder for one quantitative analysis over all adversaries: pick an
-/// objective, a target, optionally a time horizon / solver / tolerance /
-/// worker count / policy extraction, then [`run`](Query::run).
+/// objective, a target, optionally a time horizon / tolerance / worker
+/// count / policy extraction, then [`run`](Query::run).
 ///
-/// See the [module docs](self) for an example and the solver-selection
-/// guidance.
+/// See the [module docs](self) for an example.
 pub struct Query<'m> {
     model: QueryModel<'m>,
     objective: QueryObjective,
     target: Option<Result<Vec<bool>, MdpError>>,
     horizon: Option<u32>,
-    solver: Option<Solver>,
     options: IterOptions,
     workers: Option<usize>,
     with_policy: bool,
@@ -254,16 +203,13 @@ impl Query<'static> {
 impl<'m> Query<'m> {
     /// Starts a query over an already-flattened model.
     pub fn csr(mdp: &'m CsrMdp) -> Query<'m> {
-        Query::new(QueryModel::Borrowed(mdp))
+        Query::new(QueryModel::Source(mdp))
     }
 
     /// Starts a query over any CSR backend — in-core or out-of-core —
-    /// behind the [`CsrSource`] trait.
-    ///
-    /// The analysis runs on the serial block-streamed engines, which are
-    /// bitwise identical to the in-core Jacobi kernels (see the
-    /// [`crate::source`] module docs); [`Solver::SccOrdered`] is rejected
-    /// at the `"validate"` stage and [`Query::workers`] has no effect.
+    /// behind the [`CsrSource`] trait. Results are bitwise identical to the
+    /// same query over the in-core model (see the [`crate::source`] module
+    /// docs).
     pub fn source(src: &'m dyn CsrSource) -> Query<'m> {
         Query::new(QueryModel::Source(src))
     }
@@ -274,7 +220,6 @@ impl<'m> Query<'m> {
             objective: QueryObjective::MinProb,
             target: None,
             horizon: None,
-            solver: None,
             options: IterOptions::default(),
             workers: None,
             with_policy: false,
@@ -291,14 +236,14 @@ impl<'m> Query<'m> {
     /// list of state indices (`Vec<usize>` / `&[usize]`). Resolution
     /// errors are deferred to [`Query::run`].
     pub fn target(mut self, target: impl IntoTarget) -> Self {
-        let n = self.model.num_states();
+        let n = self.model.source().num_states();
         self.target = Some(target.into_target(n));
         self
     }
 
     /// Sets the target set from a predicate over state indices.
     pub fn target_where(mut self, mut pred: impl FnMut(usize) -> bool) -> Self {
-        let n = self.model.num_states();
+        let n = self.model.source().num_states();
         self.target = Some(Ok((0..n).map(&mut pred).collect()));
         self
     }
@@ -308,13 +253,6 @@ impl<'m> Query<'m> {
     /// Probability objectives only.
     pub fn horizon(mut self, budget: u32) -> Self {
         self.horizon = Some(budget);
-        self
-    }
-
-    /// Picks the solver for this query (default: the process-wide
-    /// [`default_solver`]).
-    pub fn solver(mut self, solver: Solver) -> Self {
-        self.solver = Some(solver);
         self
     }
 
@@ -336,9 +274,10 @@ impl<'m> Query<'m> {
         self
     }
 
-    /// Forces the worker count of parallel sweeps (default: the
-    /// `PA_MDP_WORKERS` environment variable, then available parallelism;
-    /// see [`crate::resolve_workers`]).
+    /// Forces the worker count of parallel sweeps on every backend
+    /// (default: the `PA_MDP_WORKERS` environment variable, then available
+    /// parallelism; see [`crate::resolve_workers`]). The values do not
+    /// depend on it.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers);
         self
@@ -374,102 +313,31 @@ impl<'m> Query<'m> {
             })
             .and_then(|t| t)
             .map_err(wrap("target"))?;
-        let solver = self.solver.unwrap_or_else(default_solver);
-        let use_scc = solver == Solver::SccOrdered;
         let mut stats = SolveStats::default();
+        let src = self.model.source();
+        let workers = resolve_workers(self.workers);
 
         let prob_objective = match self.objective {
             QueryObjective::MinProb => Some(Objective::MinProb),
             QueryObjective::MaxProb => Some(Objective::MaxProb),
             QueryObjective::MinCost | QueryObjective::MaxCost => None,
         };
-
-        if let QueryModel::Source(src) = &self.model {
-            let src: &dyn CsrSource = *src;
-            if use_scc {
-                return Err(wrap("validate")(MdpError::InvalidQuery {
-                    reason: "stored backends support the Jacobi solver only (the \
-                             SCC-ordered solver keeps the whole condensation resident)"
-                        .into(),
-                }));
-            }
-            let values;
-            let mut policy = None;
-            match (prob_objective, self.horizon) {
-                (Some(objective), Some(budget)) => {
-                    let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
-                    values = source::bounded_levels_src(
-                        src,
-                        &target,
-                        budget,
-                        objective,
-                        self.with_policy.then_some(&mut decisions),
-                        &mut stats,
-                    )
-                    .map_err(wrap("solve"))?;
-                    if self.with_policy {
-                        policy = Some(BoundedPolicy {
-                            decision: decisions,
-                        });
-                    }
-                }
-                (Some(objective), None) => {
-                    if self.with_policy {
-                        return Err(wrap("validate")(MdpError::InvalidQuery {
-                            reason: "policy extraction requires a horizon (cost-indexed \
-                                     policies are only defined for bounded queries)"
-                                .into(),
-                        }));
-                    }
-                    values =
-                        source::reach_prob_src(src, &target, objective, self.options, &mut stats)
-                            .map_err(wrap("solve"))?;
-                }
-                (None, horizon) => {
-                    if horizon.is_some() || self.with_policy {
-                        return Err(wrap("validate")(MdpError::InvalidQuery {
-                            reason: "expected-cost objectives support neither a horizon nor \
-                                     policy extraction"
-                                .into(),
-                        }));
-                    }
-                    values = match self.objective {
-                        QueryObjective::MaxCost => {
-                            source::max_expected_cost_src(src, &target, self.options, &mut stats)
-                        }
-                        _ => source::min_expected_cost_src(src, &target, self.options, &mut stats),
-                    }
-                    .map_err(wrap("solve"))?;
-                }
-            }
-            return Ok(Analysis {
-                values,
-                policy,
-                stats,
-                objective: self.objective,
-                solver,
-                horizon: self.horizon,
-            });
-        }
-
-        let mdp = self.model.get();
         let values;
         let mut policy = None;
         match (prob_objective, self.horizon) {
             (Some(objective), Some(budget)) => {
                 let mut decisions: Vec<Vec<Option<u32>>> = Vec::new();
-                values = mdp
-                    .bounded_levels_engine(
-                        &target,
-                        budget,
-                        objective,
-                        self.workers,
-                        use_scc,
-                        self.with_policy.then_some(&mut decisions),
-                        &mut |_, _| {},
-                        &mut stats,
-                    )
-                    .map_err(wrap("solve"))?;
+                values = source::bounded_levels_src(
+                    src,
+                    &target,
+                    budget,
+                    objective,
+                    workers,
+                    self.with_policy.then_some(&mut decisions),
+                    &mut |_, _| {},
+                    &mut stats,
+                )
+                .map_err(wrap("solve"))?;
                 if self.with_policy {
                     policy = Some(BoundedPolicy {
                         decision: decisions,
@@ -484,11 +352,14 @@ impl<'m> Query<'m> {
                             .into(),
                     }));
                 }
-                values = if use_scc {
-                    mdp.reach_prob_scc(&target, objective, self.options, &mut stats)
-                } else {
-                    mdp.reach_prob_stats(&target, objective, self.options, self.workers, &mut stats)
-                }
+                values = source::reach_prob_src(
+                    src,
+                    &target,
+                    objective,
+                    self.options,
+                    workers,
+                    &mut stats,
+                )
                 .map_err(wrap("solve"))?;
             }
             (None, horizon) => {
@@ -500,18 +371,18 @@ impl<'m> Query<'m> {
                     }));
                 }
                 values = match self.objective {
-                    QueryObjective::MaxCost => mdp.max_expected_cost_solver(
+                    QueryObjective::MaxCost => source::max_expected_cost_src(
+                        src,
                         &target,
                         self.options,
-                        self.workers,
-                        use_scc,
+                        workers,
                         &mut stats,
                     ),
-                    _ => mdp.min_expected_cost_solver(
+                    _ => source::min_expected_cost_src(
+                        src,
                         &target,
                         self.options,
-                        self.workers,
-                        use_scc,
+                        workers,
                         &mut stats,
                     ),
                 }
@@ -523,7 +394,6 @@ impl<'m> Query<'m> {
             policy,
             stats,
             objective: self.objective,
-            solver,
             horizon: self.horizon,
         })
     }
@@ -618,26 +488,12 @@ mod tests {
     }
 
     #[test]
-    fn expected_cost_objective_runs_both_solvers() {
-        let m = geometric();
-        for solver in [Solver::Jacobi, Solver::SccOrdered] {
-            let a = Query::over(&m)
-                .objective(QueryObjective::MaxCost)
-                .target(vec![1])
-                .solver(solver)
-                .run()
-                .unwrap();
-            assert!((a.values[0] - 2.0).abs() < 1e-6, "{solver:?}");
-            assert_eq!(a.solver, solver);
-        }
-    }
-
-    #[test]
-    fn default_solver_round_trips() {
-        assert_eq!(default_solver(), Solver::Jacobi);
-        set_default_solver(Solver::SccOrdered);
-        assert_eq!(default_solver(), Solver::SccOrdered);
-        set_default_solver(Solver::Jacobi);
-        assert_eq!(default_solver(), Solver::Jacobi);
+    fn expected_cost_objective_runs() {
+        let a = Query::over(&geometric())
+            .objective(QueryObjective::MaxCost)
+            .target(vec![1])
+            .run()
+            .unwrap();
+        assert!((a.values[0] - 2.0).abs() < 1e-6);
     }
 }

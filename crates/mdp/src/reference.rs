@@ -123,7 +123,7 @@ fn solve_level_jacobi(
 }
 
 /// Nested-representation Jacobi cost-bounded reachability: the bitwise
-/// oracle for horizon queries (`Query` with a Jacobi solver).
+/// oracle for horizon queries.
 pub fn cost_bounded_reach_jacobi(
     mdp: &ExplicitMdp,
     target: &[bool],
@@ -211,7 +211,7 @@ fn expected_cost_jacobi(
 }
 
 /// Nested Jacobi worst-case expected cost (bitwise oracle for `MaxCost`
-/// queries under a Jacobi solver).
+/// queries).
 pub fn max_expected_cost_jacobi(
     mdp: &ExplicitMdp,
     target: &[bool],

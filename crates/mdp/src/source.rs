@@ -1,45 +1,81 @@
-//! Backend-agnostic CSR access: the [`CsrSource`] trait and the
-//! block-streamed analysis engines that run on any implementation.
+//! Backend-agnostic CSR access: the [`CsrSource`] trait and the analysis
+//! engines — the only implementation of every quantitative and qualitative
+//! analysis in this crate.
 //!
-//! [`crate::CsrMdp`] holds the whole model in five flat arrays; an
-//! out-of-core backend (e.g. `pa-store`'s mmap-backed block file) holds the
-//! same arrays cut into contiguous *blocks* of states and pages them in on
-//! demand. [`CsrSource`] is the seam between the two: a backend exposes its
+//! [`crate::CsrMdp`] holds the whole model in five flat arrays and is a
+//! source with a single block; an out-of-core backend (e.g. `pa-store`'s
+//! mmap-backed block file) holds the same arrays cut into contiguous
+//! *blocks* of states and pages them in on demand. A backend exposes its
 //! rows block by block as borrowed [`CsrRows`] slices, and every engine in
 //! this module sweeps states strictly in block order — so an in-core model
-//! (one block spanning everything) and a stored model (many blocks behind a
-//! byte-budgeted cache) execute the *same* per-state floating-point
-//! operations in the *same* order.
+//! and a stored model behind a byte-budgeted cache execute the *same*
+//! per-state floating-point operations in the *same* order.
 //!
-//! # Bitwise parity with the in-core engines
+//! # Deterministic parallelism
 //!
-//! The engines here are serial twins of the kernels in `csr.rs`: identical
-//! update expressions, identical buffer rotation, identical convergence
-//! tests. The in-core kernels are bit-for-bit invariant under worker-count
-//! chunking (see the `csr` module docs), so a serial sweep already produces
-//! the canonical bytes — which makes every engine below bitwise identical
-//! to its `CsrMdp` counterpart for any block structure and any cache
-//! budget. `crates/store`'s parity tests and the bench `store` block pin
-//! this contract.
+//! All iterative kernels are **double-buffered Jacobi** sweeps: the new
+//! value of every state is computed from the previous iterate only, never
+//! from values updated earlier in the same sweep. Per-state updates are
+//! therefore independent, and a block with at least `PAR_MIN_STATES`
+//! states is split into `workers` chunks swept on crossbeam scoped threads
+//! over disjoint slices of the output buffer. Each state's update reads the
+//! same immutable previous iterate and performs the same floating-point
+//! operations in the same order however the states are chunked or
+//! blocked, and the convergence test reduces per-chunk deltas with
+//! `f64::max` (order-independent for the finite values these kernels
+//! produce). So **results are bit-for-bit identical for every worker count
+//! and every block split**. The worker count comes from
+//! [`crate::Query::workers`], then the `PA_MDP_WORKERS` environment
+//! variable, then the machine's available parallelism (see
+//! [`resolve_workers`]).
 //!
-//! Two qualitative precomputations are *set-valued* rather than numeric and
-//! use different (block-friendly) algorithms than their in-core twins:
-//! `prob0` for [`crate::Objective::MaxProb`] (a forward fixpoint instead of
-//! a backward BFS over a materialized predecessor graph) and the zero-cost
-//! cycle check (a peeling fixpoint instead of a DFS). Both compute the
-//! exact same set/answer — they are different iteration strategies for the
-//! same fixpoint — so the numeric phases they feed remain bitwise
-//! identical.
+//! `crates/mdp/tests/csr_equivalence.rs` pins the engines bitwise against
+//! the nested oracles in [`crate::reference`]; `crates/store`'s parity
+//! tests, the facade's `kernel_parity` test and the bench `store` block
+//! pin stored-vs-in-core parity across block splits and worker counts.
 //!
-//! The SCC-ordered solver is not available through this trait: it keeps
-//! per-component subgraphs resident by design. A [`crate::Query`] over a
-//! stored backend rejects [`crate::Solver::SccOrdered`] with
-//! [`MdpError::InvalidQuery`].
+//! The qualitative precomputations are *set-valued* fixpoints swept block
+//! by block: `prob0` (a forward least fixpoint for
+//! [`crate::Objective::MaxProb`], a greatest fixpoint for
+//! [`crate::Objective::MinProb`]), almost-sure reachability `prob1`, and the
+//! zero-cost cycle check (a peeling greatest fixpoint). None of them needs
+//! a predecessor graph or random access, so they run unchanged on a model
+//! that does not fit in memory.
 
 use std::ops::Range;
 
-use crate::csr::SolveStats;
 use crate::{IterOptions, MdpError, Objective};
+
+/// Blocks with fewer states than this are swept on the calling thread:
+/// below this size, thread spawn/join costs more than the sweep itself.
+pub(crate) const PAR_MIN_STATES: usize = 4096;
+
+/// Work counters accumulated by one quantitative solve, reported through
+/// [`crate::Analysis::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveStats {
+    /// Value-iteration sweeps performed.
+    pub sweeps: u64,
+    /// Individual state-value computations performed.
+    pub state_updates: u64,
+}
+
+/// Resolves an optional worker-count override: explicit argument, then the
+/// `PA_MDP_WORKERS` environment variable, then available parallelism.
+pub fn resolve_workers(workers: Option<usize>) -> usize {
+    workers
+        .or_else(|| {
+            std::env::var("PA_MDP_WORKERS")
+                .ok()
+                .and_then(|v| v.parse().ok())
+        })
+        .unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1)
+        })
+        .max(1)
+}
 
 /// One contiguous block of CSR rows, borrowed from a backend.
 ///
@@ -100,9 +136,10 @@ impl CsrRows<'_> {
     /// operation order every engine in this crate agrees on.
     #[inline]
     pub fn choice_value(&self, c: usize, source: &[f64]) -> f64 {
+        let r = self.trans_range(c);
         let mut val = 0.0f64;
-        for i in self.trans_range(c) {
-            val += self.probs[i] * source[self.targets[i] as usize];
+        for (&p, &t) in self.probs[r.clone()].iter().zip(&self.targets[r]) {
+            val += p * source[t as usize];
         }
         val
     }
@@ -157,36 +194,86 @@ fn for_each_block<S: CsrSource + ?Sized>(
     Ok(())
 }
 
-/// One serial double-buffered Jacobi sweep over all blocks in state order.
-/// Identical to the serial path of `csr.rs`'s `jacobi_sweep` (which the
-/// parallel path is bitwise-pinned against): per-state updates read the
-/// previous iterate only, and the delta is the max absolute change.
-fn jacobi_sweep_src<S: CsrSource + ?Sized>(
+/// One double-buffered Jacobi sweep over all blocks in state order — the
+/// only sweep in this crate.
+///
+/// `update(rows, s, prev)` computes state `s`'s next value from the
+/// previous iterate only; the sweep writes it to `next[s]` and returns the
+/// maximal `|next[s] - prev[s]|`. A block with at least `PAR_MIN_STATES`
+/// states is chunked across `workers` scoped threads over disjoint slices
+/// of `next`; the result is bitwise independent of the worker count and
+/// of the block split (see the module docs).
+fn jacobi_sweep_src<S, F>(
     src: &S,
     next: &mut [f64],
     prev: &[f64],
-    update: &dyn Fn(&CsrRows<'_>, usize, &[f64]) -> f64,
-) -> Result<f64, MdpError> {
+    workers: usize,
+    update: F,
+) -> Result<f64, MdpError>
+where
+    S: CsrSource + ?Sized,
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> f64 + Sync,
+{
     let mut delta = 0.0f64;
     for_each_block(src, &mut |rows| {
-        for s in rows.states() {
-            let v = update(&rows, s, prev);
-            let d = (v - prev[s]).abs();
-            if d > delta {
-                delta = d;
-            }
-            next[s] = v;
-        }
+        let states = rows.states();
+        let out = &mut next[states.clone()];
+        let d = if workers <= 1 || out.len() < PAR_MIN_STATES {
+            sweep_chunk(&rows, states.start, out, prev, &update)
+        } else {
+            let chunk = out.len().div_ceil(workers);
+            let (rows, update) = (&rows, &update);
+            crossbeam::thread::scope(|scope| {
+                let handles: Vec<_> = out
+                    .chunks_mut(chunk)
+                    .enumerate()
+                    .map(|(w, slice)| {
+                        let first = states.start + w * chunk;
+                        scope.spawn(move |_| sweep_chunk(rows, first, slice, prev, update))
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("value-iteration worker panicked"))
+                    .fold(0.0f64, f64::max)
+            })
+            .expect("value-iteration scope panicked")
+        };
+        delta = delta.max(d);
     })?;
     Ok(delta)
 }
 
-/// States with **maximal** reachability probability zero. Computes the same
-/// "cannot reach the target" set as [`crate::CsrMdp::prob0_max`], but as a
-/// forward least fixpoint (mark states with a positive-probability edge
-/// into the marked set until stable) instead of a backward BFS — a
-/// predecessor graph cannot be materialized for a model that does not fit
-/// in memory.
+/// Sweeps the consecutive states `first..first + out.len()` of one block
+/// into `out`, returning the largest absolute change.
+#[inline]
+fn sweep_chunk<F>(
+    rows: &CsrRows<'_>,
+    first: usize,
+    out: &mut [f64],
+    prev: &[f64],
+    update: &F,
+) -> f64
+where
+    F: Fn(&CsrRows<'_>, usize, &[f64]) -> f64,
+{
+    let mut delta = 0.0f64;
+    for (s, slot) in (first..).zip(out.iter_mut()) {
+        let v = update(rows, s, prev);
+        let d = (v - prev[s]).abs();
+        if d > delta {
+            delta = d;
+        }
+        *slot = v;
+    }
+    delta
+}
+
+/// States with **maximal** reachability probability zero (no path to the
+/// target in the transition graph), as a forward least fixpoint: mark
+/// states with a positive-probability edge into the marked set until
+/// stable. Needs no predecessor graph, so it runs on a model that does not
+/// fit in memory.
 pub(crate) fn prob0_max_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
@@ -216,8 +303,10 @@ pub(crate) fn prob0_max_src<S: CsrSource + ?Sized>(
     }
 }
 
-/// States with **minimal** reachability probability zero: the same greatest
-/// fixpoint as [`crate::CsrMdp::prob0_min`], swept block by block.
+/// States with **minimal** reachability probability zero: greatest
+/// fixpoint of "not target, and terminal or some choice keeps all mass in
+/// the set" (terminal states count as avoiding because the adversary may
+/// stop scheduling).
 pub(crate) fn prob0_min_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
@@ -248,13 +337,14 @@ pub(crate) fn prob0_min_src<S: CsrSource + ?Sized>(
     }
 }
 
-/// Unbounded reachability on any backend; the serial twin of
-/// [`crate::CsrMdp::reach_prob`].
+/// Unbounded reachability `P^opt[eventually reach target]` by qualitative
+/// precomputation plus Jacobi value iteration from below.
 pub(crate) fn reach_prob_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     objective: Objective,
     options: IterOptions,
+    workers: usize,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
     let _span = pa_telemetry::span("mdp.vi.reach_prob_seconds");
@@ -276,7 +366,7 @@ pub(crate) fn reach_prob_src<S: CsrSource + ?Sized>(
     let mut prev = cur.clone();
     for _ in 0..options.max_sweeps {
         let sweep_span = pa_telemetry::span("mdp.vi.sweep_seconds");
-        let delta = jacobi_sweep_src(src, &mut cur, &prev, &|rows, s, prev| {
+        let delta = jacobi_sweep_src(src, &mut cur, &prev, workers, |rows, s, prev| {
             if target[s] || zero[s] || rows.is_terminal(s) {
                 return prev[s];
             }
@@ -328,15 +418,22 @@ fn validate_costs_src<S: CsrSource + ?Sized>(src: &S) -> Result<(), MdpError> {
     }
 }
 
-/// One cost-bounded induction level on any backend; the serial twin of
-/// `CsrMdp::solve_level_into` — same buffer alternation, same `4n + 8`
-/// sweep cap, same `1e-14` inner tolerance.
+/// One level of cost-bounded backward induction: the least fixpoint of the
+/// zero-cost subgraph given the previous level `level_prev`, as a Jacobi
+/// iteration capped at `4n + 8` sweeps with a `1e-14` tolerance (see
+/// [`crate::cost_bounded_reach_levels`]).
+///
+/// The level's values end up in `values`; `scratch` is the second Jacobi
+/// buffer. Both are reused across calls (cleared and resized here), so a
+/// `budget`-level induction allocates two vectors total instead of one per
+/// level.
 #[allow(clippy::too_many_arguments)]
 fn solve_level_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     level_prev: &[f64],
     objective: Objective,
+    workers: usize,
     values: &mut Vec<f64>,
     scratch: &mut Vec<f64>,
     stats: &mut SolveStats,
@@ -368,6 +465,8 @@ fn solve_level_src<S: CsrSource + ?Sized>(
         }
         best
     };
+    // Alternate write/read roles between the two buffers; after sweep `k`
+    // the newest iterate is in `values` iff `k` is even.
     let mut done = 0usize;
     for k in 0..max_sweeps {
         if let Some(c) = &level_sweeps {
@@ -376,9 +475,9 @@ fn solve_level_src<S: CsrSource + ?Sized>(
         stats.sweeps += 1;
         stats.state_updates += n as u64;
         let delta = if k % 2 == 0 {
-            jacobi_sweep_src(src, values, scratch, &update)?
+            jacobi_sweep_src(src, values, scratch, workers, update)?
         } else {
-            jacobi_sweep_src(src, scratch, values, &update)?
+            jacobi_sweep_src(src, scratch, values, workers, update)?
         };
         done = k + 1;
         if delta <= 1e-14 {
@@ -391,7 +490,8 @@ fn solve_level_src<S: CsrSource + ?Sized>(
     Ok(())
 }
 
-/// The twin of `CsrMdp::extract_level_decisions` on any backend.
+/// Extracts the optimal per-state choice of one budget level, given the
+/// converged level `values` and the previous level `level_prev`.
 fn extract_level_decisions_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
@@ -427,15 +527,21 @@ fn extract_level_decisions_src<S: CsrSource + ?Sized>(
     })
 }
 
-/// Cost-bounded backward induction on any backend; the serial twin of
-/// `CsrMdp::bounded_levels_engine` (Jacobi path — the SCC path needs the
-/// whole zero-cost condensation resident).
+/// Cost-bounded backward induction: rotates three reused buffers
+/// (previous level, current level, Jacobi scratch) through every budget
+/// level instead of materializing one vector per level, calls
+/// `on_level(k, values)` after each level `k = 0..=budget`, and optionally
+/// extracts the optimal cost-indexed policy along the way. Returns the
+/// final level.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn bounded_levels_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     budget: u32,
     objective: Objective,
+    workers: usize,
     mut policy: Option<&mut Vec<Vec<Option<u32>>>>,
+    on_level: &mut dyn FnMut(u32, &[f64]),
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
     check_target_src(src, target)?;
@@ -447,15 +553,18 @@ pub(crate) fn bounded_levels_src<S: CsrSource + ?Sized>(
     let mut cur: Vec<f64> = Vec::new();
     let mut scratch: Vec<f64> = Vec::new();
     if pa_telemetry::enabled() {
+        // High-water value-buffer footprint of the whole induction: three
+        // reused f64 vectors, independent of the budget.
         pa_telemetry::gauge("mdp.vi.level_buffer_bytes")
             .set_max((3 * n * std::mem::size_of::<f64>()) as i64);
     }
-    for _k in 0..=budget {
+    for k in 0..=budget {
         solve_level_src(
             src,
             target,
             &level_prev,
             objective,
+            workers,
             &mut cur,
             &mut scratch,
             stats,
@@ -465,16 +574,31 @@ pub(crate) fn bounded_levels_src<S: CsrSource + ?Sized>(
             extract_level_decisions_src(src, target, &level_prev, &cur, objective, &mut dec)?;
             policy.push(dec);
         }
+        on_level(k, &cur);
         std::mem::swap(&mut level_prev, &mut cur);
     }
     if let Some(c) = levels {
         c.add(u64::from(budget) + 1);
     }
+    // The final level ended up in `level_prev` after the last swap.
     Ok(level_prev)
 }
 
-/// Qualitative almost-sure reachability on any backend: the same nested
-/// `νZ. μY.` fixpoint as [`crate::CsrMdp::prob1`], swept block by block.
+/// Qualitative almost-sure reachability: the set of states whose
+/// `MinProb` (resp. `MaxProb`) reachability value is *exactly* 1, decided
+/// on the transition graph alone.
+///
+/// This is the standard nested fixpoint
+/// `νZ. μY. { s | s ∈ T ∨ Q a ∈ A(s): succ(a) ⊆ Z ∧ succ(a) ∩ Y ≠ ∅ }`
+/// with `Q = ∀` for [`Objective::MinProb`] (every adversary reaches the
+/// target almost surely) and `Q = ∃` for [`Objective::MaxProb`] (some
+/// policy does). Terminal non-target states never qualify: they stay put
+/// forever.
+///
+/// The expected-cost solvers use this instead of thresholding a
+/// numerically iterated reachability value: on large models value
+/// iteration can stop with true-1 states still measurably below 1, and any
+/// cutoff then misclassifies proper states as divergent.
 pub(crate) fn prob1_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
@@ -482,6 +606,8 @@ pub(crate) fn prob1_src<S: CsrSource + ?Sized>(
 ) -> Result<Vec<bool>, MdpError> {
     check_target_src(src, target)?;
     let n = src.num_states();
+    // A choice "stays" in Z when every positive-probability successor is in
+    // Z, and "progresses" when some such successor is already in Y.
     let choice_ok = |rows: &CsrRows<'_>, c: usize, z: &[bool], y: &[bool]| -> bool {
         let mut progresses = false;
         for i in rows.trans_range(c) {
@@ -498,6 +624,8 @@ pub(crate) fn prob1_src<S: CsrSource + ?Sized>(
     };
     let mut z = vec![true; n];
     loop {
+        // Inner least fixpoint: states that, while confined to Z, reach a
+        // target state with positive probability.
         let mut y = target.to_vec();
         loop {
             let mut changed = false;
@@ -531,10 +659,9 @@ pub(crate) fn prob1_src<S: CsrSource + ?Sized>(
     }
 }
 
-/// Detects a cycle in the zero-cost off-target subgraph on any backend.
-/// Computes the same answer as [`crate::CsrMdp::has_zero_cost_cycle`]'s
-/// DFS, as a peeling greatest fixpoint (a DFS's random state-access pattern
-/// defeats block paging): repeatedly discard states with no zero-cost
+/// Detects a cycle in the zero-cost off-target transition subgraph, as a
+/// peeling greatest fixpoint (a DFS's random state-access pattern defeats
+/// block paging): repeatedly discard states with no zero-cost
 /// positive-probability edge into the remaining set; the remainder is
 /// nonempty iff the subgraph has a cycle.
 pub(crate) fn has_zero_cost_cycle_src<S: CsrSource + ?Sized>(
@@ -568,14 +695,18 @@ pub(crate) fn has_zero_cost_cycle_src<S: CsrSource + ?Sized>(
     }
 }
 
-/// Shared expected-cost Jacobi iteration on any backend; the serial twin of
-/// `CsrMdp::expected_cost_iterate`.
+/// Shared expected-cost Jacobi iteration. `live[s]` marks states whose
+/// expectation is finite (proper/feasible); others end at `f64::INFINITY`.
+/// A choice with a non-live, non-target successor is excluded (a proper
+/// policy never moves there; a maximizing adversary reaching one would
+/// contradict `live[s]`).
 fn expected_cost_iterate_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     live: &[bool],
     objective: Objective,
     options: IterOptions,
+    workers: usize,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
     let n = src.num_states();
@@ -588,7 +719,7 @@ fn expected_cost_iterate_src<S: CsrSource + ?Sized>(
         }
         stats.sweeps += 1;
         stats.state_updates += n as u64;
-        let delta = jacobi_sweep_src(src, &mut cur, &prev, &|rows, s, prev| {
+        let delta = jacobi_sweep_src(src, &mut cur, &prev, workers, |rows, s, prev| {
             if target[s] || !live[s] || rows.is_terminal(s) {
                 return prev[s];
             }
@@ -632,25 +763,37 @@ fn expected_cost_iterate_src<S: CsrSource + ?Sized>(
     Ok(v)
 }
 
-/// Worst-case expected accumulated cost on any backend; the twin of
-/// [`crate::CsrMdp::max_expected_cost`].
+/// Worst-case expected accumulated cost to the target; states that some
+/// adversary keeps away from the target with positive probability get
+/// `f64::INFINITY`. Properness comes from the graph-based [`prob1_src`].
 pub(crate) fn max_expected_cost_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     options: IterOptions,
+    workers: usize,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
     check_target_src(src, target)?;
     let proper = prob1_src(src, target, Objective::MinProb)?;
-    expected_cost_iterate_src(src, target, &proper, Objective::MaxProb, options, stats)
+    expected_cost_iterate_src(
+        src,
+        target,
+        &proper,
+        Objective::MaxProb,
+        options,
+        workers,
+        stats,
+    )
 }
 
-/// Best-case expected accumulated cost on any backend; the twin of
-/// [`crate::CsrMdp::min_expected_cost`].
+/// Best-case expected accumulated cost to the target. Fails with
+/// [`MdpError::DivergentExpectation`] if the zero-cost off-target subgraph
+/// has a cycle (the minimum would not be attained).
 pub(crate) fn min_expected_cost_src<S: CsrSource + ?Sized>(
     src: &S,
     target: &[bool],
     options: IterOptions,
+    workers: usize,
     stats: &mut SolveStats,
 ) -> Result<Vec<f64>, MdpError> {
     check_target_src(src, target)?;
@@ -658,7 +801,15 @@ pub(crate) fn min_expected_cost_src<S: CsrSource + ?Sized>(
         return Err(MdpError::DivergentExpectation { state: 0 });
     }
     let feasible = prob1_src(src, target, Objective::MaxProb)?;
-    expected_cost_iterate_src(src, target, &feasible, Objective::MinProb, options, stats)
+    expected_cost_iterate_src(
+        src,
+        target,
+        &feasible,
+        Objective::MinProb,
+        options,
+        workers,
+        stats,
+    )
 }
 
 /// FNV-1a 64 digest of a backend's *logical* content: counts, initial
@@ -751,40 +902,10 @@ mod tests {
     }
 
     #[test]
-    fn generic_engines_match_in_core_bitwise() {
-        let csr = escape();
-        let target = vec![false, false, true];
-        let opts = IterOptions::default();
-        let mut stats = SolveStats::default();
-        for objective in [Objective::MaxProb, Objective::MinProb] {
-            let in_core = csr.reach_prob(&target, objective, opts, Some(1)).unwrap();
-            let generic = reach_prob_src(&csr, &target, objective, opts, &mut stats).unwrap();
-            assert_eq!(in_core, generic, "{objective:?}");
-        }
-        let in_core = csr.max_expected_cost(&target, opts, Some(1)).unwrap();
-        let generic = max_expected_cost_src(&csr, &target, opts, &mut stats).unwrap();
-        assert_eq!(in_core, generic);
-    }
-
-    #[test]
-    fn zero_cost_cycle_peeling_matches_dfs() {
-        let cyclic = CsrMdp::from_explicit(
-            &ExplicitMdp::new(
-                vec![
-                    vec![Choice::to(0, 1)],
-                    vec![Choice::to(0, 0), Choice::to(1, 2)],
-                    vec![],
-                ],
-                vec![0],
-            )
-            .unwrap(),
-        );
-        for target in [[false, false, true], [true, false, false]] {
-            assert_eq!(
-                cyclic.has_zero_cost_cycle(&target).unwrap(),
-                has_zero_cost_cycle_src(&cyclic, &target).unwrap(),
-            );
-        }
+    fn resolve_workers_prefers_explicit_argument() {
+        assert_eq!(resolve_workers(Some(3)), 3);
+        assert_eq!(resolve_workers(Some(0)), 1);
+        assert!(resolve_workers(None) >= 1);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! [`Symmetry::canon`] — and redirect every successor to its
 //! representative. The quotient model has up to `order()`-fold fewer
 //! states and bit-identical values on representatives (see DESIGN §13 for
-//! the soundness argument and the equality granularity per solver).
+//! the soundness argument and the equality granularity per analysis).
 //!
 //! The only instance shipped here is [`RingRotation`], the cyclic rotation
 //! group of a ring of `n` identical processes — the symmetry of the

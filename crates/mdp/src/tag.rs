@@ -5,8 +5,7 @@
 //! lowers crashed processes into the explored MDP, every choice it injects
 //! for a dead configuration must be an *absorbing* deterministic self-loop
 //! — otherwise the new states would leak probability mass and corrupt
-//! both the Jacobi and the SCC-ordered solvers (an absorbing state is a
-//! trivial SCC; a mis-built one becomes a spurious nontrivial component).
+//! every analysis that treats them as sinks.
 //! [`tag_choices`] recomputes the implicit automaton's steps in explored
 //! order to assign a tag per choice, and
 //! [`tagged_absorbing_violations`] reports every tagged choice that fails
@@ -92,7 +91,7 @@ pub fn tag_choices<M: Automaton, SP: crate::StateSpace<M::State>>(
 /// choice must be a deterministic self-loop (one transition, back to its
 /// own state, probability exactly 1). Returns the `(state, choice)` pairs
 /// that violate it — an empty vector certifies that all tagged choices
-/// are absorbing, so both solvers treat the tagged states as sinks.
+/// are absorbing, so every analysis treats the tagged states as sinks.
 pub fn tagged_absorbing_violations(
     mdp: &ExplicitMdp,
     tags: &ChoiceTags,

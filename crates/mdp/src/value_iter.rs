@@ -5,7 +5,7 @@
 //! These entry points keep the original nested-model signatures but run on
 //! the CSR engine ([`crate::CsrMdp`]): the model is flattened once, then
 //! analyzed with double-buffered Jacobi sweeps that parallelize
-//! deterministically (see the `csr` module docs). Callers holding a
+//! deterministically (see the [`crate::source`] module docs). Callers holding a
 //! [`crate::CsrMdp`] can invoke the engine directly and amortize the
 //! flattening across analyses.
 
@@ -61,7 +61,7 @@ pub fn prob1(
 /// Computes unbounded reachability probabilities
 /// `P^opt[eventually reach target]` by qualitative precomputation followed
 /// by value iteration from below (double-buffered Jacobi on the CSR
-/// engine; deterministically parallel — see [`crate::CsrMdp`]).
+/// engine; deterministically parallel — see [`crate::source`]).
 ///
 /// A terminal non-target state has value 0 under both objectives (for
 /// `MinProb` also because the adversary may simply stop scheduling).

@@ -12,14 +12,10 @@
 use pa_core::{Automaton, Step};
 use pa_mdp::{
     min_expected_cost, reference, Choice, CsrMdp, ExpectedCost, ExplicitMdp, Explore, IterOptions,
-    MdpError, Objective, Query, QueryObjective, Solver,
+    MdpError, Objective, Query, QueryObjective,
 };
 use pa_prob::FiniteDist;
 use proptest::prelude::*;
-
-// The nested-model oracles pin the *Jacobi* trajectory, so the `Query`
-// calls below pin `Solver::Jacobi` explicitly — bitwise comparison is only
-// owed against the matching solver, independent of the process default.
 
 fn reach_prob(
     mdp: &ExplicitMdp,
@@ -31,7 +27,6 @@ fn reach_prob(
         .objective(objective)
         .target(target)
         .options(options)
-        .solver(Solver::Jacobi)
         .run()?
         .values)
 }
@@ -46,7 +41,6 @@ fn cost_bounded_reach(
         .objective(objective)
         .target(target)
         .horizon(budget)
-        .solver(Solver::Jacobi)
         .run()?
         .values)
 }
@@ -60,7 +54,6 @@ fn max_expected_cost(
         .objective(QueryObjective::MaxCost)
         .target(target)
         .options(options)
-        .solver(Solver::Jacobi)
         .run()?;
     Ok(ExpectedCost {
         values: analysis.values,
@@ -158,6 +151,16 @@ proptest! {
             let oracle =
                 reference::cost_bounded_reach_jacobi(&m, &target, budget, objective).unwrap();
             assert_bitwise(&csr, &oracle);
+            // Policy extraction must not perturb the values.
+            let with_policy = Query::over(&m)
+                .objective(objective)
+                .target(&target)
+                .horizon(budget)
+                .with_policy()
+                .run()
+                .unwrap();
+            assert_bitwise(&with_policy.values, &oracle);
+            prop_assert!(with_policy.policy.is_some());
         }
     }
 

@@ -45,12 +45,9 @@ fn vi_reports_exact_sweep_count_and_monotone_residuals() {
     let snap = pa_telemetry::snapshot();
     pa_telemetry::set_enabled(false);
 
-    assert_eq!(snap.counter("mdp.vi.runs"), Some(1));
-    assert_eq!(snap.counter("mdp.vi.sweeps"), Some(10));
-    let residuals = &snap
-        .series("mdp.vi.residual")
-        .expect("residuals recorded")
-        .values;
+    assert_eq!(snap.counter("mdp.vi.runs"), 1);
+    assert_eq!(snap.counter("mdp.vi.sweeps"), 10);
+    let residuals = &snap.series("mdp.vi.residual").values;
     assert_eq!(residuals.len(), 10);
     for (k, &delta) in residuals.iter().enumerate() {
         assert_eq!(delta, 0.5f64.powi(k as i32 + 1), "sweep {}", k + 1);
@@ -61,9 +58,9 @@ fn vi_reports_exact_sweep_count_and_monotone_residuals() {
     );
 
     // The span instrumentation saw one solve and one timing per sweep.
-    let run_timer = snap.timer("mdp.vi.reach_prob_seconds").unwrap();
+    let run_timer = snap.timer("mdp.vi.reach_prob_seconds");
     assert_eq!(run_timer.count, 1);
-    let sweep_timer = snap.timer("mdp.vi.sweep_seconds").unwrap();
+    let sweep_timer = snap.timer("mdp.vi.sweep_seconds");
     assert_eq!(sweep_timer.count, 10);
     assert!(sweep_timer.total_seconds >= 0.0);
 }
@@ -86,8 +83,8 @@ fn convergence_stops_the_sweep_counter_early() {
 
     let snap = pa_telemetry::snapshot();
     pa_telemetry::set_enabled(false);
-    assert_eq!(snap.counter("mdp.vi.sweeps"), Some(2));
-    assert_eq!(snap.series("mdp.vi.residual").unwrap().values, [0.5, 0.25]);
+    assert_eq!(snap.counter("mdp.vi.sweeps"), 2);
+    assert_eq!(snap.series("mdp.vi.residual").values, [0.5, 0.25]);
 }
 
 #[test]
@@ -110,12 +107,12 @@ fn disabled_registry_records_nothing() {
     pa_telemetry::set_enabled(true);
     let snap = pa_telemetry::snapshot();
     pa_telemetry::set_enabled(false);
-    assert_eq!(snap.counter("mdp.vi.runs"), Some(0));
-    assert_eq!(snap.counter("mdp.vi.sweeps"), Some(0));
+    assert_eq!(snap.counter("mdp.vi.runs"), 0);
+    assert_eq!(snap.counter("mdp.vi.sweeps"), 0);
     assert_eq!(
-        snap.series("mdp.vi.residual").map(|s| s.values.len()),
-        Some(0),
+        snap.series("mdp.vi.residual").values.len(),
+        0,
         "no residuals while disabled"
     );
-    assert_eq!(snap.timer("mdp.vi.sweep_seconds").unwrap().count, 0);
+    assert_eq!(snap.timer("mdp.vi.sweep_seconds").count, 0);
 }

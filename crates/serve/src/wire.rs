@@ -8,8 +8,9 @@
 //! * `{"op":"job", ...}` — stage one [`JobSpec`] into the connection's
 //!   pending batch. Fields: `kind` (required, see below), `n` (required),
 //!   `plan` (optional array of fault events), `plan_name` (required when
-//!   `plan` is non-empty), `solver` (`"jacobi"` | `"scc"`), `eps`,
-//!   `state_limit`.
+//!   `plan` is non-empty), `eps`, `state_limit`. An optional
+//!   `"solver":"jacobi"` from older clients is accepted and ignored (there
+//!   is one value-iteration engine); any other solver is a `bad-line`.
 //! * `{"op":"run", "workers":W?, "timeout_secs":T?}` — run the pending
 //!   batch through the shared cache and clear it.
 //! * `{"op":"stats"}` — service and cache lifetime statistics.
@@ -42,7 +43,6 @@ use std::sync::Arc;
 use pa_batch::{CustomFn, JobKind, JobSpec, McSettings};
 use pa_core::SetExpr;
 use pa_faults::{FaultEvent, FaultKind, FaultPlan};
-use pa_mdp::Solver;
 
 use crate::json::Json;
 
@@ -373,12 +373,10 @@ fn spec_from_json(doc: &Json, registry: &CustomRegistry) -> Result<JobSpec, Wire
         }
     }
     match doc.get("solver").and_then(Json::as_str) {
-        None => {}
-        Some("jacobi") => spec = spec.with_solver(Solver::Jacobi),
-        Some("scc") => spec = spec.with_solver(Solver::SccOrdered),
+        None | Some("jacobi") => {}
         Some(other) => {
             return Err(WireError::new(format!(
-                "unknown solver {other:?} (expected \"jacobi\" or \"scc\")"
+                "unknown solver {other:?} (expected \"jacobi\")"
             )))
         }
     }
@@ -494,13 +492,9 @@ pub fn spec_to_wire(spec: &JobSpec) -> Result<String, WireError> {
             )
         })
         .collect();
-    let solver = match spec.solver {
-        Solver::Jacobi => "jacobi",
-        Solver::SccOrdered => "scc",
-    };
     Ok(format!(
         "{{\"op\":\"job\",\"kind\":{},\"n\":{},\"plan\":[{}],\"plan_name\":{},\
-         \"solver\":\"{solver}\",\"eps\":{:e},\"state_limit\":{}}}",
+         \"eps\":{:e},\"state_limit\":{}}}",
         kind_to_wire(&spec.kind)?,
         spec.n,
         events.join(","),
@@ -557,7 +551,7 @@ mod tests {
     fn every_kind_round_trips_with_identical_keys() {
         let specs = vec![
             JobSpec::new(3, JobKind::Arrow { index: 2 }),
-            JobSpec::new(4, JobKind::ComposedArrow).with_solver(Solver::SccOrdered),
+            JobSpec::new(4, JobKind::ComposedArrow),
             JobSpec::new(3, JobKind::Invariant).with_epsilon(1e-7),
             JobSpec::new(3, JobKind::Lemma { index: 5 }).with_state_limit(123_456),
             JobSpec::new(
@@ -610,6 +604,12 @@ mod tests {
             assert_eq!(back.plan, spec.plan);
             assert_eq!(back.state_limit, spec.state_limit);
             assert_eq!(back.epsilon.to_bits(), spec.epsilon.to_bits());
+        }
+        // Older clients still send the one solver there is; it is a no-op.
+        let legacy = "{\"op\":\"job\",\"kind\":\"composed\",\"n\":4,\"solver\":\"jacobi\"}";
+        match parse_request(legacy, &registry()).unwrap() {
+            Request::Job(parsed) => assert_eq!(parsed.key(), specs[1].key()),
+            other => panic!("expected a job, got {other:?}"),
         }
     }
 
@@ -665,6 +665,10 @@ mod tests {
             (
                 "{\"op\":\"job\",\"kind\":{\"arrow\":0},\"n\":3,\"solver\":\"gauss\"}",
                 "unknown solver",
+            ),
+            (
+                "{\"op\":\"job\",\"kind\":{\"arrow\":0},\"n\":3,\"solver\":\"scc\"}",
+                "unknown solver \"scc\"",
             ),
             (
                 "{\"op\":\"job\",\"kind\":{\"arrow\":0},\"n\":3,\

@@ -145,9 +145,10 @@ impl BlockCache {
             }
             return Ok(block);
         }
-        // Fault: load and digest-verify under the lock (the workspace's
-        // solvers are single-threaded per model, so there is no concurrent
-        // load to overlap with).
+        // Fault: load and digest-verify under the lock (the solver kernels
+        // page blocks in from one thread per model — worker threads only
+        // read the pinned block — so there is no concurrent load to
+        // overlap with).
         let block = Arc::new(file.load_block(idx)?);
         let bytes = block.resident_bytes();
         inner.faults += 1;

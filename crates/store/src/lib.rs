@@ -1,7 +1,7 @@
 //! Out-of-core state spaces for the `timebounds` workspace: spill explored
 //! CSR blocks to an append-only `pa-store/csr/v1` file, page them back on
-//! demand through a byte-budgeted mmap block cache, and run the
-//! block-streamed solvers so peak memory is bounded by the cache budget —
+//! demand through a byte-budgeted mmap block cache, and run `pa-mdp`'s
+//! block solver kernels so peak memory is bounded by the cache budget —
 //! with results bitwise identical to the in-core pipeline.
 //!
 //! The crate is the disk side of the [`pa_mdp::CsrSource`] seam:
@@ -22,7 +22,7 @@
 //!   `mdp.store.*` telemetry and in `pa-serve`'s `stats` responses.
 //!
 //! DESIGN §15 documents the format, the block lifecycle, and the soundness
-//! argument that the streamed solvers converge to the in-core fixpoint.
+//! argument that stored queries reach the in-core fixpoint bit for bit.
 //!
 //! # Example
 //!

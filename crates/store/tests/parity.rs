@@ -15,10 +15,7 @@ use pa_lehmann_rabin::{
     paper, reachable_configs, reachable_configs_quotient, region_pred, round_cost, set_pred,
     time_to_budget, Config, RoundConfig, RoundMdp,
 };
-use pa_mdp::{
-    csr_digest, CsrSource, Explore, MdpError, PackedSpace, Query, QueryObjective, RingRotation,
-    Solver,
-};
+use pa_mdp::{csr_digest, CsrSource, Explore, PackedSpace, Query, QueryObjective, RingRotation};
 use pa_store::SpillTo;
 
 const N: usize = 3;
@@ -83,7 +80,6 @@ fn all_five_arrows_are_bitwise_identical_for_any_budget() {
             .objective(QueryObjective::MinProb)
             .target(target.clone())
             .horizon(budget)
-            .solver(Solver::Jacobi)
             .run()
             .unwrap();
         let csr = pa_mdp::CsrMdp::from_explicit(&explored.mdp);
@@ -149,7 +145,6 @@ fn expected_time_bracket_is_bitwise_identical() {
                 .query()
                 .objective(objective)
                 .target(target.clone())
-                .solver(Solver::Jacobi)
                 .run()
                 .unwrap()
                 .values,
@@ -212,7 +207,6 @@ fn fault_plan_query_is_bitwise_identical() {
         .objective(QueryObjective::MinProb)
         .target(target.clone())
         .horizon(8)
-        .solver(Solver::Jacobi)
         .run()
         .unwrap();
 
@@ -261,7 +255,6 @@ fn quotient_model_with_packed_keys_round_trips_and_matches() {
         .objective(QueryObjective::MinProb)
         .target(target.clone())
         .horizon(6)
-        .solver(Solver::Jacobi)
         .run()
         .unwrap();
 
@@ -297,35 +290,6 @@ fn quotient_model_with_packed_keys_round_trips_and_matches() {
         assert_bitwise("quotient", &in_core.values, &analysis.values);
         std::fs::remove_dir_all(&dir).unwrap();
     }
-}
-
-#[test]
-fn scc_solver_is_rejected_on_stored_backends_at_validate() {
-    let arrow = paper::arrow_p_to_c();
-    let model = round_model("P", arrow.to());
-    let dir = tmpdir("scc-reject");
-    let stored = Explore::new(&model)
-        .cost(round_cost)
-        .limit(LIMIT)
-        .spill_to(&dir, u64::MAX)
-        .run()
-        .unwrap();
-    let err = stored
-        .query()
-        .objective(QueryObjective::MinProb)
-        .target_where(|_| true)
-        .horizon(1)
-        .solver(Solver::SccOrdered)
-        .run()
-        .unwrap_err();
-    match err {
-        MdpError::Query { stage, source } => {
-            assert_eq!(stage, "validate");
-            assert!(matches!(*source, MdpError::InvalidQuery { .. }));
-        }
-        other => panic!("expected a validate-stage Query error, got {other:?}"),
-    }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]

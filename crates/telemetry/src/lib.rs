@@ -72,7 +72,8 @@
 //! }
 //! telemetry::series("vi.residual").push(0.5);
 //! let snap = telemetry::snapshot();
-//! assert_eq!(snap.counter("vi.sweeps"), Some(4));
+//! assert_eq!(snap.counter("vi.sweeps"), 4);
+//! assert_eq!(snap.counter("vi.never_recorded"), 0);
 //! telemetry::set_enabled(false);
 //! ```
 

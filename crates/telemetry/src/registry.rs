@@ -364,9 +364,13 @@ mod tests {
         series("registry.test.s").push(0.5);
         let snap = snapshot();
         assert!(snap.enabled);
-        assert_eq!(snap.counter("registry.test.a"), Some(3));
-        assert_eq!(snap.counter("registry.test.z"), Some(1));
-        assert_eq!(snap.counter("registry.test.missing"), None);
+        assert_eq!(snap.counter("registry.test.a"), 3);
+        assert_eq!(snap.counter("registry.test.z"), 1);
+        assert_eq!(snap.counter("registry.test.missing"), 0);
+        assert!(snap
+            .counters
+            .iter()
+            .all(|c| c.name != "registry.test.missing"));
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         let mut sorted = names.clone();
         sorted.sort_unstable();

@@ -166,32 +166,67 @@ impl TelemetrySnapshot {
         self.series.sort_by(|a, b| a.name.cmp(&b.name));
     }
 
-    /// The value of a counter by name, if registered.
-    pub fn counter(&self, name: &str) -> Option<u64> {
+    /// The value of a counter by name. A counter that was never registered
+    /// reads 0, exactly like one that was registered and never moved: a
+    /// snapshot cannot tell the two apart, so no reading depends on which
+    /// code path (or which earlier test) happened to register the name.
+    pub fn counter(&self, name: &str) -> u64 {
         self.counters
             .iter()
             .find(|c| c.name == name)
-            .map(|c| c.value)
+            .map_or(0, |c| c.value)
     }
 
-    /// The value of a gauge by name, if registered.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
+    /// The value of a gauge by name; 0 if never registered.
+    pub fn gauge(&self, name: &str) -> i64 {
+        self.gauges
+            .iter()
+            .find(|g| g.name == name)
+            .map_or(0, |g| g.value)
     }
 
-    /// The histogram by name, if registered.
-    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
-        self.histograms.iter().find(|h| h.name == name)
+    /// The histogram by name; empty if never registered.
+    pub fn histogram(&self, name: &str) -> HistogramSnapshot {
+        self.histograms
+            .iter()
+            .find(|h| h.name == name)
+            .cloned()
+            .unwrap_or_else(|| HistogramSnapshot {
+                name: name.to_string(),
+                count: 0,
+                sum: 0,
+                min: 0,
+                max: 0,
+                buckets: Vec::new(),
+            })
     }
 
-    /// The series trajectory by name, if registered.
-    pub fn series(&self, name: &str) -> Option<&SeriesSnapshot> {
-        self.series.iter().find(|s| s.name == name)
+    /// The series trajectory by name; empty if never registered.
+    pub fn series(&self, name: &str) -> SeriesSnapshot {
+        self.series
+            .iter()
+            .find(|s| s.name == name)
+            .cloned()
+            .unwrap_or_else(|| SeriesSnapshot {
+                name: name.to_string(),
+                values: Vec::new(),
+                truncated: 0,
+            })
     }
 
-    /// The timer by name, if registered.
-    pub fn timer(&self, name: &str) -> Option<&TimerSnapshot> {
-        self.timers.iter().find(|t| t.name == name)
+    /// The timer by name; empty if never registered.
+    pub fn timer(&self, name: &str) -> TimerSnapshot {
+        self.timers
+            .iter()
+            .find(|t| t.name == name)
+            .cloned()
+            .unwrap_or_else(|| TimerSnapshot {
+                name: name.to_string(),
+                count: 0,
+                total_seconds: 0.0,
+                mean_seconds: 0.0,
+                max_seconds: 0.0,
+            })
     }
 
     /// The incremental change since `baseline`: what was recorded between
@@ -211,11 +246,12 @@ impl TelemetrySnapshot {
     /// * **Series** — append-only trajectories; the delta is the suffix
     ///   pushed since the baseline.
     ///
-    /// Metrics absent from the baseline (registered later) appear whole.
+    /// Metrics absent from the baseline (registered later) read as zero
+    /// there, so they appear whole.
     pub fn delta_since(&self, baseline: &TelemetrySnapshot) -> TelemetrySnapshot {
         let mut delta = TelemetrySnapshot::empty(self.enabled);
         for c in &self.counters {
-            let before = baseline.counter(&c.name).unwrap_or(0);
+            let before = baseline.counter(&c.name);
             let value = c.value.saturating_sub(before);
             if value > 0 {
                 delta.counters.push(CounterSnapshot {
@@ -225,19 +261,17 @@ impl TelemetrySnapshot {
             }
         }
         for g in &self.gauges {
-            if baseline.gauge(&g.name) != Some(g.value) {
+            if baseline.gauge(&g.name) != g.value {
                 delta.gauges.push(g.clone());
             }
         }
         for t in &self.timers {
-            let (count0, total0) = baseline
-                .timer(&t.name)
-                .map_or((0, 0.0), |b| (b.count, b.total_seconds));
-            let count = t.count.saturating_sub(count0);
+            let base = baseline.timer(&t.name);
+            let count = t.count.saturating_sub(base.count);
             if count == 0 {
                 continue;
             }
-            let total_seconds = (t.total_seconds - total0).max(0.0);
+            let total_seconds = (t.total_seconds - base.total_seconds).max(0.0);
             delta.timers.push(TimerSnapshot {
                 name: t.name.clone(),
                 count,
@@ -248,7 +282,7 @@ impl TelemetrySnapshot {
         }
         for h in &self.histograms {
             let base = baseline.histogram(&h.name);
-            let count = h.count.saturating_sub(base.map_or(0, |b| b.count));
+            let count = h.count.saturating_sub(base.count);
             if count == 0 {
                 continue;
             }
@@ -257,7 +291,9 @@ impl TelemetrySnapshot {
                 .iter()
                 .filter_map(|b| {
                     let before = base
-                        .and_then(|bh| bh.buckets.iter().find(|x| x.le == b.le))
+                        .buckets
+                        .iter()
+                        .find(|x| x.le == b.le)
                         .map_or(0, |x| x.count);
                     let c = b.count.saturating_sub(before);
                     (c > 0).then_some(HistogramBucket { le: b.le, count: c })
@@ -266,7 +302,7 @@ impl TelemetrySnapshot {
             delta.histograms.push(HistogramSnapshot {
                 name: h.name.clone(),
                 count,
-                sum: h.sum.saturating_sub(base.map_or(0, |b| b.sum)),
+                sum: h.sum.saturating_sub(base.sum),
                 min: h.min,
                 max: h.max,
                 buckets,
@@ -274,9 +310,9 @@ impl TelemetrySnapshot {
         }
         for s in &self.series {
             let base = baseline.series(&s.name);
-            let skip = base.map_or(0, |b| b.values.len().min(s.values.len()));
+            let skip = base.values.len().min(s.values.len());
             let values: Vec<f64> = s.values[skip..].to_vec();
-            let truncated = s.truncated.saturating_sub(base.map_or(0, |b| b.truncated));
+            let truncated = s.truncated.saturating_sub(base.truncated);
             if !values.is_empty() || truncated > 0 {
                 delta.series.push(SeriesSnapshot {
                     name: s.name.clone(),
@@ -370,11 +406,11 @@ mod tests {
             max_seconds: 0.9,
         };
         let d = after.delta_since(&before);
-        assert_eq!(d.counter("steady"), None, "unchanged counters are dropped");
-        assert_eq!(d.counter("moving"), Some(7));
-        assert_eq!(d.counter("fresh"), Some(4), "new metrics appear whole");
-        assert_eq!(d.gauge("level"), None, "unmoved gauges are dropped");
-        let t = d.timer("t").unwrap();
+        assert_eq!(d.counter("steady"), 0, "unchanged counters are dropped");
+        assert_eq!(d.counter("moving"), 7);
+        assert_eq!(d.counter("fresh"), 4, "new metrics appear whole");
+        assert!(d.gauges.is_empty(), "unmoved gauges are dropped");
+        let t = d.timer("t");
         assert_eq!(t.count, 4);
         assert!((t.total_seconds - 2.0).abs() < 1e-12);
         assert!((t.mean_seconds - 0.5).abs() < 1e-12);
@@ -411,7 +447,7 @@ mod tests {
         ];
         after.series[0].values.push(0.25);
         let d = after.delta_since(&before);
-        let h = d.histogram("h").unwrap();
+        let h = d.histogram("h");
         assert_eq!(h.count, 2);
         assert_eq!(h.sum, 16);
         assert_eq!(
@@ -422,7 +458,7 @@ mod tests {
             ],
             "only buckets that grew survive, with differenced counts"
         );
-        assert_eq!(d.series("s").unwrap().values, vec![0.25]);
+        assert_eq!(d.series("s").values, vec![0.25]);
         let none = after.delta_since(&after);
         assert!(none.histograms.is_empty() && none.series.is_empty());
     }
@@ -433,6 +469,6 @@ mod tests {
         let mut snap = TelemetrySnapshot::empty(false);
         snap.push_timer("t", &t);
         assert_eq!(snap.timers[0].mean_seconds, 0.0);
-        assert_eq!(snap.timer("t").unwrap().count, 0);
+        assert_eq!(snap.timer("t").count, 0);
     }
 }
