@@ -3,21 +3,20 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pa_lehmann_rabin::{concurrent, regions, sims};
-use pa_sim::MonteCarlo;
+use pa_mc::{estimate_rounds, McConfig};
 use std::hint::black_box;
 use std::time::Duration;
 
 fn bench_simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("monte_carlo_n5");
     group.sample_size(10);
-    let mc = MonteCarlo::new(2_000, 7, 60);
+    let mc = McConfig::new(2_000, 7, 13);
     group.bench_function("round_robin", |b| {
         let sim = sims::LrSim::new(5, sims::RoundRobin)
             .expect("ring of 5")
             .with_start(sims::all_trying(5).expect("ring of 5"));
         b.iter(|| {
-            mc.hitting_prob_within(black_box(&sim), |s| regions::in_c(&s.config), 13)
-                .expect("simulable")
+            estimate_rounds(black_box(&sim), |s| regions::in_c(&s.config), &mc).expect("simulable")
         })
     });
     group.bench_function("uniform_random", |b| {
@@ -25,8 +24,7 @@ fn bench_simulation(c: &mut Criterion) {
             .expect("ring of 5")
             .with_start(sims::all_trying(5).expect("ring of 5"));
         b.iter(|| {
-            mc.hitting_prob_within(black_box(&sim), |s| regions::in_c(&s.config), 13)
-                .expect("simulable")
+            estimate_rounds(black_box(&sim), |s| regions::in_c(&s.config), &mc).expect("simulable")
         })
     });
     group.bench_function("anti_progress", |b| {
@@ -34,8 +32,7 @@ fn bench_simulation(c: &mut Criterion) {
             .expect("ring of 5")
             .with_start(sims::all_trying(5).expect("ring of 5"));
         b.iter(|| {
-            mc.hitting_prob_within(black_box(&sim), |s| regions::in_c(&s.config), 13)
-                .expect("simulable")
+            estimate_rounds(black_box(&sim), |s| regions::in_c(&s.config), &mc).expect("simulable")
         })
     });
     group.finish();

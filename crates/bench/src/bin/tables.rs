@@ -249,11 +249,11 @@ fn main() -> Result<(), Box<dyn Error>> {
             );
         }
         println!(
-            "telemetry probe: {} VI sweeps, {} states explored, {} MC trials; \
+            "telemetry probe: {} VI sweeps, {} states explored, {} MC trajectories; \
              overhead on/off = {:.3}",
             report.telemetry.counter("mdp.vi.sweeps"),
             report.telemetry.counter("mdp.explore.states"),
-            report.telemetry.counter("sim.mc.trials"),
+            report.telemetry.counter("mc.trajectories"),
             report.telemetry_overhead.enabled_over_disabled,
         );
         println!(

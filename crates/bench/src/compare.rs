@@ -263,7 +263,7 @@ fn gate_telemetry(gate: &mut Gate, current: &Json, with_mc: bool) {
     for counter in [
         "mdp.vi.sweeps",
         "mdp.explore.states",
-        "sim.mc.trials",
+        "mc.trajectories",
         "faults.crashes_injected",
         "faults.restarts",
         "faults.obligations_dropped",
@@ -276,7 +276,7 @@ fn gate_telemetry(gate: &mut Gate, current: &Json, with_mc: bool) {
         );
     }
     if with_mc {
-        for counter in ["mc.trajectories", "mc.steps", "mc.rng_draws"] {
+        for counter in ["mc.steps", "mc.rng_draws"] {
             gate.check_positive(
                 &format!("telemetry {counter}"),
                 telemetry_counter(current, counter),

@@ -16,10 +16,10 @@ use pa_lehmann_rabin::{
     set_pred, sims, verify_lemma_6_1, Config, LrAction, LrProtocol, Pc, RoundConfig, RoundMdp,
     Side, UserModel,
 };
+use pa_mc::{estimate_rounds, McConfig, McEstimate};
 use pa_mdp::{cost_bounded_reach_levels, Explore, Objective};
 use pa_prob::stats::Z_99;
 use pa_prob::Prob;
-use pa_sim::MonteCarlo;
 
 use crate::Row;
 
@@ -34,6 +34,17 @@ fn fmt_duration(d: Duration) -> String {
     } else {
         format!("{:.1}ms", d.as_secs_f64() * 1e3)
     }
+}
+
+/// Samples `T —t→ C` from the all-trying start of the ring of `n` under a
+/// concrete round scheduler, with `t = cfg.max_time` rounds.
+fn sample_t_to_c<S: sims::RoundScheduler>(
+    n: usize,
+    scheduler: S,
+    cfg: McConfig,
+) -> Result<McEstimate, Box<dyn Error>> {
+    let sim = sims::LrSim::new(n, scheduler)?.with_start(sims::all_trying(n)?);
+    Ok(estimate_rounds(&sim, |s| regions::in_c(&s.config), &cfg)?)
 }
 
 /// E1–E5: exact verification of the five arrow axioms on the round model.
@@ -388,10 +399,8 @@ pub fn scaling(sizes: &[usize]) -> ExpResult {
     }
     // Monte-Carlo extension beyond exact reach.
     for &n in &[8usize, 16] {
-        let sim = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-        let mc = MonteCarlo::new(4_000, 2024, 60);
-        let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-        let ci = est.wilson_interval(Z_99);
+        let est = sample_t_to_c(n, sims::AntiProgress, McConfig::new(4_000, 2024, 13))?;
+        let ci = est.estimator().wilson_interval(Z_99);
         rows.push(Row::checked(
             "E11",
             format!("T —13→ C statistical (anti-progress scheduler), n={n}"),
@@ -432,24 +441,14 @@ pub fn ablation(n: usize) -> ExpResult {
         .measured
         .lo()
         .value();
-    let mc = MonteCarlo::new(20_000, 99, 60);
-    let mut sched_rows: Vec<(&str, f64)> = Vec::new();
-    {
-        let sim = sims::LrSim::new(n, sims::RoundRobin)?.with_start(sims::all_trying(n)?);
-        let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-        sched_rows.push(("round-robin", est.point()?.value()));
-    }
-    {
-        let sim = sims::LrSim::new(n, sims::UniformRandom)?.with_start(sims::all_trying(n)?);
-        let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-        sched_rows.push(("uniform-random", est.point()?.value()));
-    }
-    {
-        let sim = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-        let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-        sched_rows.push(("anti-progress", est.point()?.value()));
-    }
-    for (name, p) in sched_rows {
+    let mc = McConfig::new(20_000, 99, 13);
+    let sched_rows = [
+        ("round-robin", sample_t_to_c(n, sims::RoundRobin, mc)?),
+        ("uniform-random", sample_t_to_c(n, sims::UniformRandom, mc)?),
+        ("anti-progress", sample_t_to_c(n, sims::AntiProgress, mc)?),
+    ];
+    for (name, est) in sched_rows {
+        let p = est.point();
         rows.push(Row::checked(
             "E12",
             format!("scheduler comparison: P[T →13 C] under {name}"),
@@ -540,10 +539,8 @@ pub fn cross_validation(n: usize) -> Result<(f64, f64), Box<dyn Error>> {
         .measured
         .lo()
         .value();
-    let sim = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-    let mc = MonteCarlo::new(20_000, 7, 60);
-    let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
-    Ok((exact_worst, est.point()?.value()))
+    let est = sample_t_to_c(n, sims::AntiProgress, McConfig::new(20_000, 7, 13))?;
+    Ok((exact_worst, est.point()))
 }
 
 /// The `try` action availability sanity check used by E2: exit states are

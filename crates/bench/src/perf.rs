@@ -54,7 +54,6 @@ use pa_mdp::{
     reference, Choice, CsrMdp, ExplicitMdp, Explore, IterOptions, MdpError, Objective, Query,
     QueryObjective, RingRotation, StateSpace,
 };
-use pa_sim::MonteCarlo;
 use pa_telemetry::TelemetrySnapshot;
 use serde::Serialize;
 
@@ -1106,8 +1105,11 @@ pub fn telemetry_probe() -> Result<TelemetrySnapshot, Box<dyn std::error::Error>
         csr.reach_prob(&target, Objective::MinProb, opts, None)?;
 
         let sim = sims::LrSim::new(3, sims::RoundRobin)?.with_start(sims::all_trying(3)?);
-        let mc = MonteCarlo::new(2_000, 42, 60);
-        mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
+        pa_mc::estimate_rounds(
+            &sim,
+            |s| regions::in_c(&s.config),
+            &pa_mc::McConfig::new(2_000, 42, 13),
+        )?;
 
         // One faulted exploration exercising all three fault kinds — a
         // crash-restart, an obligation drop, then a total crash-stop (so

@@ -42,8 +42,9 @@ fn bench_report_emits_a_valid_telemetry_block() {
     assert!(counter("mdp.vi.runs") >= 1.0);
     assert!(counter("mdp.explore.states") > 0.0);
     assert!(counter("lr.round.expansions") > 0.0);
-    assert_eq!(counter("sim.mc.trials"), 2000.0);
-    assert!(counter("sim.mc.rng_draws") > 0.0);
+    // The probe's 2 000 round trials plus its 500 `estimate_reach`
+    // trajectories, both through the one `pa-mc` trial engine.
+    assert_eq!(counter("mc.trajectories"), 2500.0);
     assert!(counter("prob.rng.streams") > 0.0);
     assert!(counter("faults.crashes_injected") > 0.0);
     assert!(counter("faults.restarts") > 0.0);
@@ -248,15 +249,15 @@ fn bench_report_emits_a_valid_telemetry_block() {
         .expect("residual series present");
     assert!(!residuals.is_empty());
 
-    let rounds_hist = doc
+    let hit_time_hist = doc
         .path(&["telemetry", "histograms"])
         .and_then(Json::as_array)
         .and_then(|hs| {
             hs.iter()
-                .find(|h| h.get("name").and_then(Json::as_str) == Some("sim.mc.rounds_to_fire"))
+                .find(|h| h.get("name").and_then(Json::as_str) == Some("mc.hit_time"))
         })
-        .expect("rounds-to-fire histogram present");
-    assert!(rounds_hist.get("count").and_then(Json::as_f64).unwrap() > 0.0);
+        .expect("hit-time histogram present");
+    assert!(hit_time_hist.get("count").and_then(Json::as_f64).unwrap() > 0.0);
 
     // Overhead microcheck: the ratio is a sane positive number. (No upper
     // bound asserted — wall-clock ratios are too noisy for CI — the gate
@@ -293,7 +294,7 @@ fn bench_report_emits_a_valid_telemetry_block() {
 
 fn gate_artifact(states: u64, speedup: f64, sweeps: u64) -> String {
     format!(
-        r#"{{"schema":"pa-bench/mdp-throughput/v5","rings":[{{"n":3,"states":{states},"choices":10,"transitions":20,"explore_states_per_sec":{{"speedup":{speedup}}},"vi_sweeps_per_sec":{{"speedup":{speedup}}}}}],"telemetry":{{"counters":[{{"name":"mdp.vi.sweeps","value":{sweeps}}},{{"name":"mdp.explore.states","value":{states}}},{{"name":"sim.mc.trials","value":2000}},{{"name":"faults.crashes_injected","value":4}},{{"name":"faults.restarts","value":2}},{{"name":"faults.obligations_dropped","value":3}},{{"name":"faults.envelope_violations","value":1}},{{"name":"mdp.tag.tagged_choices","value":8}}]}},"telemetry_overhead":{{"enabled_over_disabled":1.01}},"faults":{{"holds":16,"degraded":0,"fails":4,"zero_fault_bitwise_equal":true,"crash_tagged_choices":8,"crash_absorbing_violations":0}},"batch":{{"jobs":37,"done":37,"failed":0,"violated":4,"model_cache_hits":20,"model_cache_misses":4,"cache_hit_rate":0.833,"distinct_models":4,"worker_invariant":true,"invariance_digest":"00deadbeef00cafe"}}}}"#
+        r#"{{"schema":"pa-bench/mdp-throughput/v5","rings":[{{"n":3,"states":{states},"choices":10,"transitions":20,"explore_states_per_sec":{{"speedup":{speedup}}},"vi_sweeps_per_sec":{{"speedup":{speedup}}}}}],"telemetry":{{"counters":[{{"name":"mdp.vi.sweeps","value":{sweeps}}},{{"name":"mdp.explore.states","value":{states}}},{{"name":"mc.trajectories","value":2500}},{{"name":"faults.crashes_injected","value":4}},{{"name":"faults.restarts","value":2}},{{"name":"faults.obligations_dropped","value":3}},{{"name":"faults.envelope_violations","value":1}},{{"name":"mdp.tag.tagged_choices","value":8}}]}},"telemetry_overhead":{{"enabled_over_disabled":1.01}},"faults":{{"holds":16,"degraded":0,"fails":4,"zero_fault_bitwise_equal":true,"crash_tagged_choices":8,"crash_absorbing_violations":0}},"batch":{{"jobs":37,"done":37,"failed":0,"violated":4,"model_cache_hits":20,"model_cache_misses":4,"cache_hit_rate":0.833,"distinct_models":4,"worker_invariant":true,"invariance_digest":"00deadbeef00cafe"}}}}"#
     )
 }
 
@@ -436,7 +437,7 @@ fn gate_artifact_v6(digest: &str, contains: bool, invariant: bool) -> String {
         .replace("pa-bench/mdp-throughput/v5", "pa-bench/mdp-throughput/v6")
         .replace(
             r#"{"name":"mdp.tag.tagged_choices","value":8}"#,
-            r#"{"name":"mdp.tag.tagged_choices","value":8},{"name":"mc.trajectories","value":84000},{"name":"mc.steps","value":500000},{"name":"mc.rng_draws","value":400000}"#,
+            r#"{"name":"mdp.tag.tagged_choices","value":8},{"name":"mc.steps","value":500000},{"name":"mc.rng_draws","value":400000}"#,
         );
     assert_eq!(doc.pop(), Some('}'));
     doc.push_str(&format!(

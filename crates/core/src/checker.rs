@@ -7,11 +7,12 @@ use crate::Arrow;
 /// The result of checking an [`Arrow`] claim against a model.
 ///
 /// Produced by the exact checker in `pa-lehmann-rabin` (backed by the
-/// `pa-mdp` backward-induction engine) and by the Monte-Carlo estimator in
-/// `pa-sim`. The `measured` bracket is the *minimal* probability over all
-/// adversaries of the schema of reaching the target within the time bound,
-/// minimized over all start states in the source set; the claim holds when
-/// the whole bracket sits at or above the claimed probability.
+/// `pa-mdp` backward-induction engine); the sampled tier (`pa-mc`)
+/// estimates the same probabilities under concrete adversaries. The
+/// `measured` bracket is the *minimal* probability over all adversaries of
+/// the schema of reaching the target within the time bound, minimized
+/// over all start states in the source set; the claim holds when the whole
+/// bracket sits at or above the claimed probability.
 #[derive(Debug, Clone)]
 pub struct ArrowCheck {
     /// The claim that was checked.

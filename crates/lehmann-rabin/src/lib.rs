@@ -22,7 +22,7 @@
 //!   the rotation-quotient model with bit-packed states: up to `n`-fold
 //!   fewer states, which is what pushes exact verification past `n = 7`.
 //! * [`sims`] — concrete schedulers (round-robin, random, adaptive
-//!   anti-progress) plugged into the `pa-sim` Monte-Carlo runner.
+//!   anti-progress) plugged into the `pa-mc` round sampler.
 //! * [`lemmas`] — the appendix lemmas A.4–A.10 verified on conditioned
 //!   (forced-first-flip) models, plus the Section 7 future-work lower
 //!   bound on progress time.

@@ -1,4 +1,4 @@
-//! Concrete round schedulers plugged into the `pa-sim` Monte-Carlo runner.
+//! Concrete round schedulers plugged into the `pa-mc` round sampler.
 //!
 //! Each scheduler resolves the adversary's two kinds of nondeterminism in
 //! the round model: the *order* in which ready processes take their step
@@ -8,8 +8,8 @@
 //! rejoin the competition at every round start, the saturated workload the
 //! paper's progress claims are about.
 
+use pa_mc::Simulable;
 use pa_prob::rng::SplitMix64;
-use pa_sim::Simulable;
 use rand::RngExt;
 
 use crate::{Config, LrProtocol, Pc, Side, UserModel};
@@ -130,22 +130,22 @@ pub struct SimState {
 }
 
 /// A Lehmann–Rabin Monte-Carlo system: the protocol under a concrete
-/// scheduler, ready for [`pa_sim::MonteCarlo`].
+/// scheduler, ready for [`pa_mc::estimate_rounds`].
 ///
 /// # Examples
 ///
 /// ```
 /// use pa_lehmann_rabin::sims::{all_trying, LrSim, RoundRobin};
 /// use pa_lehmann_rabin::regions;
-/// use pa_sim::MonteCarlo;
+/// use pa_mc::{estimate_rounds, McConfig};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let sim = LrSim::new(3, RoundRobin)?.with_start(all_trying(3)?);
-/// let mc = MonteCarlo::new(2_000, 7, 100);
-/// let est = mc.hitting_prob_within(&sim, |s| regions::in_c(&s.config), 13)?;
+/// let mc = McConfig::new(2_000, 7, 13);
+/// let est = estimate_rounds(&sim, |s| regions::in_c(&s.config), &mc)?;
 /// // The paper guarantees ≥ 1/8 against the *worst* adversary; a concrete
 /// // benign scheduler does much better.
-/// assert!(est.point()?.value() > 0.125);
+/// assert!(est.point() > 0.125);
 /// # Ok(())
 /// # }
 /// ```
@@ -252,7 +252,7 @@ pub fn all_trying(n: usize) -> Result<Config, crate::LrError> {
 mod tests {
     use super::*;
     use crate::{lemma_6_1_invariant, regions};
-    use pa_sim::{record_trace, MonteCarlo};
+    use pa_mc::{estimate_rounds, record_trace, McConfig};
 
     #[test]
     fn round_robin_rotates_the_starting_process() {
@@ -305,10 +305,13 @@ mod tests {
         fn check<S: RoundScheduler>(s: S) {
             let name = s.name();
             let sim = LrSim::new(3, s).unwrap().with_start(all_trying(3).unwrap());
-            let mc = MonteCarlo::new(200, 3, 200);
-            let (stats, censored) = mc
-                .hitting_time_stats(&sim, |st| regions::in_c(&st.config))
-                .unwrap();
+            let est = estimate_rounds(
+                &sim,
+                |st| regions::in_c(&st.config),
+                &McConfig::new(200, 3, 200),
+            )
+            .unwrap();
+            let (stats, censored) = est.time_stats();
             assert_eq!(censored, 0, "{name}: some trial starved");
             assert!(stats.mean() < 20.0, "{name}: mean {}", stats.mean());
         }
@@ -322,11 +325,13 @@ mod tests {
         let sim = LrSim::new(3, AntiProgress)
             .unwrap()
             .with_start(all_trying(3).unwrap());
-        let mc = MonteCarlo::new(4_000, 17, 50);
-        let est = mc
-            .hitting_prob_within(&sim, |st| regions::in_c(&st.config), 13)
-            .unwrap();
-        let ci = est.wilson_interval(pa_prob::stats::Z_99);
+        let est = estimate_rounds(
+            &sim,
+            |st| regions::in_c(&st.config),
+            &McConfig::new(4_000, 17, 13),
+        )
+        .unwrap();
+        let ci = est.estimator().wilson_interval(pa_prob::stats::Z_99);
         assert!(
             ci.lo().value() >= 0.125,
             "P[T →13 C] CI {ci} fell below the paper's 1/8 bound"

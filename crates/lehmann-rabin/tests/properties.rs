@@ -324,7 +324,7 @@ proptest! {
     #[test]
     fn simulation_rounds_preserve_regions_invariants(n in 2usize..6, seed in any::<u64>()) {
         use pa_lehmann_rabin::sims::{all_trying, LrSim, UniformRandom};
-        use pa_sim::Simulable;
+        use pa_mc::Simulable;
         let sim = LrSim::new(n, UniformRandom).unwrap().with_start(all_trying(n).unwrap());
         let mut rng = SplitMix64::new(seed);
         let mut state = sim.initial(&mut rng);

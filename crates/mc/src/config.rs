@@ -18,7 +18,8 @@ pub struct McConfig {
     pub workers: usize,
     /// Hard cap on steps per trajectory, guarding against zero-cost
     /// scheduler loops under a pathological policy. A trajectory that
-    /// exhausts it counts as a miss and an early stop.
+    /// exhausts it counts as a miss and an early stop. Round trials
+    /// ([`crate::estimate_rounds`]) are bounded by `max_time` instead.
     pub max_steps: u64,
 }
 

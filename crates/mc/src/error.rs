@@ -17,3 +17,14 @@ impl std::fmt::Display for McError {
 }
 
 impl std::error::Error for McError {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn display_is_nonempty() {
+        assert!(!McError::NoTrajectories.to_string().is_empty());
+        assert!(!McError::WorkerPanicked.to_string().is_empty());
+    }
+}

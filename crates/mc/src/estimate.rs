@@ -5,12 +5,12 @@ use pa_prob::{Prob, ProbInterval};
 ///
 /// Everything a batch measures is stored as unsigned counts: a first-hit
 /// time histogram (`hits[t]` = trajectories that first reached the target
-/// at accumulated cost exactly `t`), the miss/early-stop tallies, and the
-/// step/draw totals. Merging accumulators is integer addition, which is
-/// associative and commutative — this is what makes the estimate bitwise
-/// identical for every worker count. Floating-point summaries (Wilson
-/// intervals, conditional hitting-time statistics) are derived *after*
-/// the merge, deterministically, from the counts.
+/// at accumulated cost, or round, exactly `t`), the miss/early-stop
+/// tallies, and the step/draw totals. Merging accumulators is integer
+/// addition, which is associative and commutative — this is what makes
+/// the estimate bitwise identical for every worker count. Floating-point
+/// summaries (Wilson intervals, conditional hitting-time statistics) are
+/// derived *after* the merge, deterministically, from the counts.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct McEstimate {
     max_time: u32,
@@ -103,18 +103,36 @@ impl McEstimate {
         self.rng_draws
     }
 
+    /// Trajectories that first hit at time `t` or earlier (every hit once
+    /// `t ≥ max_time`).
+    fn hits_within(&self, t: u32) -> u64 {
+        self.hits.iter().take((t as usize).saturating_add(1)).sum()
+    }
+
     /// The hit/trial counts as a `pa-prob` estimator.
     pub fn estimator(&self) -> BernoulliEstimator {
-        BernoulliEstimator::from_counts(self.hit_count(), self.trials)
+        self.estimator_within(self.max_time)
+    }
+
+    /// The counts of hits within time `t` as a `pa-prob` estimator of
+    /// `P[hit within t]`.
+    pub fn estimator_within(&self, t: u32) -> BernoulliEstimator {
+        BernoulliEstimator::from_counts(self.hits_within(t), self.trials)
+    }
+
+    /// Point estimate of `P[hit within t]` — one point of the empirical
+    /// hitting-time CDF (0 when no trials ran).
+    pub fn prob_within(&self, t: u32) -> Prob {
+        if self.trials == 0 {
+            Prob::ZERO
+        } else {
+            Prob::clamped(self.hits_within(t) as f64 / self.trials as f64)
+        }
     }
 
     /// Point estimate of the hitting probability (0 when no trials ran).
     pub fn point(&self) -> f64 {
-        if self.trials == 0 {
-            0.0
-        } else {
-            self.hit_count() as f64 / self.trials as f64
-        }
+        self.prob_within(self.max_time).value()
     }
 
     /// Wilson interval at the given z, widened to include the boundary
@@ -233,5 +251,54 @@ mod tests {
         assert_eq!(censored, 1);
         let (lo, hi) = e.mean_time_ci(Z_99);
         assert!(lo <= 3.0 && 3.0 <= hi);
+    }
+
+    /// 10 trials: hits at times 0 (×2), 1 (×3), 3 (×4); one miss.
+    fn sample() -> McEstimate {
+        let mut e = McEstimate::empty(3);
+        for (t, count) in [(0, 2), (1, 3), (3, 4)] {
+            for _ in 0..count {
+                e.record(Some(t), false, 1, 1);
+            }
+        }
+        e.record(None, false, 1, 1);
+        e
+    }
+
+    #[test]
+    fn prob_within_accumulates() {
+        let e = sample();
+        assert_eq!(e.trials(), 10);
+        let curve: Vec<f64> = (0..=3).map(|t| e.prob_within(t).value()).collect();
+        assert_eq!(curve, [0.2, 0.5, 0.5, 0.9]);
+        // Past the budget, the curve is flat at the last value, which the
+        // miss keeps below 1.
+        assert_eq!(e.prob_within(99).value(), 0.9);
+        assert_eq!(e.prob_within(99).value(), e.point());
+        assert_eq!(e.estimator_within(1).successes(), 5);
+        assert_eq!(e.estimator_within(1).trials(), 10);
+    }
+
+    #[test]
+    fn mean_hit_time_ignores_misses() {
+        let (stats, censored) = sample().time_stats();
+        assert_eq!(censored, 1);
+        // (0·2 + 1·3 + 3·4) / 9 = 15/9.
+        assert!((stats.mean() - 15.0 / 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn empty_estimate_is_safe() {
+        let e = McEstimate::empty(5);
+        assert_eq!(e.prob_within(5), Prob::ZERO);
+        assert_eq!(e.time_stats().0.count(), 0);
+        assert_eq!(e.trials(), 0);
+    }
+
+    #[test]
+    fn ci_within_brackets_point_estimate() {
+        let e = sample();
+        let ci = e.estimator_within(1).wilson_interval(pa_prob::stats::Z_95);
+        assert!(ci.contains(e.prob_within(1)));
     }
 }

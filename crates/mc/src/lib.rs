@@ -11,6 +11,11 @@
 //!   [`pa_core::Automaton`] under a pluggable [`SamplePolicy`] (the
 //!   embedded adversary), accumulating first-hit times against a cost
 //!   budget into an [`McEstimate`].
+//! * [`estimate_rounds`] runs the same engine over a [`Simulable`] system —
+//!   dynamics plus a concrete scheduler, driven one round (time unit) at a
+//!   time — and accumulates first-hit rounds. [`McEstimate::prob_within`]
+//!   reads the empirical hitting-time CDF off the histogram, and
+//!   [`McEstimate::time_stats`] the hitting-time statistics.
 //! * Determinism contract: trajectory `i` always runs on the private
 //!   stream `SplitMix64::for_trial(seed, i)`, and the accumulator is
 //!   integer-only (a first-hit-time histogram), so the result is bitwise
@@ -28,6 +33,31 @@
 //! Estimates carry Wilson intervals for probabilities
 //! ([`McEstimate::interval`]) and CLT intervals for conditional hitting
 //! times ([`McEstimate::mean_time_ci`]), both from `pa-prob`.
+//!
+//! # Example
+//!
+//! ```
+//! use pa_mc::{estimate_rounds, McConfig, Simulable};
+//! use pa_prob::rng::SplitMix64;
+//! use rand::RngExt;
+//!
+//! /// A process that wins one fair coin flip per round.
+//! struct Coin;
+//!
+//! impl Simulable for Coin {
+//!     type State = bool;
+//!     fn initial(&self, _rng: &mut SplitMix64) -> bool { false }
+//!     fn step_round(&self, won: bool, rng: &mut SplitMix64) -> bool {
+//!         won || rng.random_bool(0.5)
+//!     }
+//! }
+//!
+//! # fn main() -> Result<(), pa_mc::McError> {
+//! let est = estimate_rounds(&Coin, |w| *w, &McConfig::new(5_000, 42, 3))?;
+//! assert!((est.point() - 0.875).abs() < 0.05);
+//! # Ok(())
+//! # }
+//! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,10 +68,12 @@ mod engine;
 mod error;
 mod estimate;
 mod policy;
+mod rounds;
 
 pub use chain::{chain_target, ChainAction, ChainState, UniformChain};
 pub use config::McConfig;
-pub use engine::estimate_reach;
+pub use engine::{estimate_reach, estimate_rounds};
 pub use error::McError;
 pub use estimate::McEstimate;
 pub use policy::{FirstPolicy, OptimalReplay, SamplePolicy, UniformPolicy};
+pub use rounds::{record_trace, Simulable, Trace};

@@ -1,5 +1,7 @@
 use pa_prob::rng::SplitMix64;
 
+use crate::engine::Trajectory;
+
 /// A system that can be simulated one *time unit* (round) at a time.
 ///
 /// Implementors embed both the probabilistic dynamics (coin flips) and the
@@ -20,26 +22,27 @@ pub trait Simulable {
     fn step_round(&self, state: Self::State, rng: &mut SplitMix64) -> Self::State;
 }
 
-/// Runs one trial until `pred` holds or `max_rounds` elapse, returning the
-/// number of rounds to the first hit (0 when the initial state already
-/// satisfies `pred`) or `None` if censored at the cap.
-pub fn rounds_to_hit<S: Simulable>(
+/// The trial body of [`crate::estimate_rounds`]: runs one trial until
+/// `pred` holds or `max_rounds` elapse. The hit round is 0 when the
+/// initial state already satisfies `pred`; `step_round` is never called
+/// once the budget is spent.
+pub(crate) fn rounds_to_hit<S: Simulable>(
     system: &S,
     pred: impl Fn(&S::State) -> bool,
     max_rounds: u32,
     rng: &mut SplitMix64,
-) -> Option<u32> {
+) -> Trajectory {
     let mut state = system.initial(rng);
     if pred(&state) {
-        return Some(0);
+        return Trajectory::hit(0, 0);
     }
     for round in 1..=max_rounds {
         state = system.step_round(state, rng);
         if pred(&state) {
-            return Some(round);
+            return Trajectory::hit(round, u64::from(round));
         }
     }
-    None
+    Trajectory::miss(false, u64::from(max_rounds))
 }
 
 /// A recorded trajectory: the states after each round, including the
@@ -101,20 +104,27 @@ mod tests {
     #[test]
     fn rounds_to_hit_finds_threshold() {
         let mut rng = SplitMix64::new(1);
-        let hit = rounds_to_hit(&Counter, |s| *s >= 10, 100, &mut rng).unwrap();
+        let out = rounds_to_hit(&Counter, |s| *s >= 10, 100, &mut rng);
+        let hit = out.hit_at.unwrap();
         assert!((5..=10).contains(&hit));
+        assert_eq!(out.steps, u64::from(hit));
     }
 
     #[test]
     fn rounds_to_hit_checks_initial_state() {
         let mut rng = SplitMix64::new(1);
-        assert_eq!(rounds_to_hit(&Counter, |s| *s == 0, 100, &mut rng), Some(0));
+        let out = rounds_to_hit(&Counter, |s| *s == 0, 100, &mut rng);
+        assert_eq!((out.hit_at, out.steps), (Some(0), 0));
+        assert_eq!(rng.draws(), 0);
     }
 
     #[test]
     fn rounds_to_hit_censors_at_cap() {
         let mut rng = SplitMix64::new(1);
-        assert_eq!(rounds_to_hit(&Counter, |s| *s >= 1000, 10, &mut rng), None);
+        let out = rounds_to_hit(&Counter, |s| *s >= 1000, 10, &mut rng);
+        assert_eq!((out.hit_at, out.early, out.steps), (None, false, 10));
+        // One coin per round, and none after the budget is spent.
+        assert_eq!(rng.draws(), 10);
     }
 
     #[test]
@@ -137,6 +147,9 @@ mod tests {
         let hit = trace.first_hit(|s| *s >= 10).unwrap();
         assert!(trace.states[hit as usize] >= 10);
         assert!(trace.states[hit as usize - 1] < 10);
+        // The trial body sees the same draws, so it finds the same round.
+        let out = rounds_to_hit(&Counter, |s| *s >= 10, 50, &mut SplitMix64::new(3));
+        assert_eq!(out.hit_at, Some(hit));
     }
 
     #[test]

@@ -46,6 +46,7 @@ use std::marker::PhantomData;
 use pa_core::Automaton;
 
 use crate::fxhash::FxHashMap;
+use crate::model::validate_row;
 use crate::space::{BoxedSpace, StateSpace};
 use crate::symmetry::Symmetry;
 use crate::{Choice, ExplicitMdp, MdpError};
@@ -157,14 +158,14 @@ impl<S: Clone + Eq + std::hash::Hash> Explored<S, BoxedSpace<S>> {
 /// Records the outcome of a finished exploration into the telemetry
 /// registry. Serial and parallel explorers share these names, so consumers
 /// see one set of exploration metrics regardless of engine.
-fn record_explored(mdp: &ExplicitMdp) {
+fn record_explored(states: usize, choices: u64, transitions: u64) {
     if !pa_telemetry::enabled() {
         return;
     }
     pa_telemetry::counter("mdp.explore.runs").inc();
-    pa_telemetry::counter("mdp.explore.states").add(mdp.num_states() as u64);
-    pa_telemetry::counter("mdp.explore.choices").add(mdp.num_choices() as u64);
-    pa_telemetry::counter("mdp.explore.transitions").add(mdp.num_transitions() as u64);
+    pa_telemetry::counter("mdp.explore.states").add(states as u64);
+    pa_telemetry::counter("mdp.explore.choices").add(choices);
+    pa_telemetry::counter("mdp.explore.transitions").add(transitions);
 }
 
 /// Worker-count selection for an [`Explore`] run.
@@ -308,8 +309,20 @@ where
             Workers::Exact(k) => crate::resolve_workers(Some(k)),
         };
         let mdp = if workers <= 1 {
-            let mut cost_of = &self.cost_of;
-            serial_core(self.automaton, &mut cost_of, self.limit, sym, &mut space)?
+            let mut choices = Vec::new();
+            let initial = serial_core(
+                self.automaton,
+                &self.cost_of,
+                self.limit,
+                sym,
+                &mut space,
+                |id, cs| {
+                    debug_assert_eq!(choices.len(), id);
+                    choices.push(cs);
+                    Ok(())
+                },
+            )?;
+            ExplicitMdp::new(choices, initial)?
         } else {
             par_core(
                 self.automaton,
@@ -320,7 +333,11 @@ where
                 workers,
             )?
         };
-        record_explored(&mdp);
+        record_explored(
+            mdp.num_states(),
+            mdp.num_choices() as u64,
+            mdp.num_transitions() as u64,
+        );
         Ok(Explored::new(space, mdp))
     }
 }
@@ -391,123 +408,47 @@ where
             space.reserve(self.capacity_hint.min(self.limit));
         }
         let sym = self.symmetry.as_deref();
-        let _span = pa_telemetry::span("mdp.explore.seconds");
-        let mut queue: VecDeque<usize> = VecDeque::new();
-
-        let intern = |s: &M::State,
-                      space: &mut SP,
-                      queue: &mut VecDeque<usize>|
-         -> Result<usize, MdpError> {
-            let canon;
-            let s = match sym {
-                Some(sym) => {
-                    canon = sym.canon(s);
-                    &canon
-                }
-                None => s,
-            };
-            let (id, new) = space.intern(s);
-            if new {
-                if space.len() > self.limit {
-                    return Err(MdpError::StateLimitExceeded { limit: self.limit });
-                }
-                queue.push_back(id);
-            }
-            Ok(id)
-        };
-
-        let mut initial = Vec::new();
-        for s in self.automaton.start_states() {
-            initial.push(intern(&s, &mut space, &mut queue)?);
-        }
-        if initial.is_empty() {
-            return Err(MdpError::NoInitialStates);
-        }
-
-        let cost_of = &self.cost_of;
         let mut num_choices = 0u64;
         let mut num_transitions = 0u64;
-        let mut emitted = 0usize;
-        while let Some(id) = queue.pop_front() {
-            let state = space.state(id);
-            let mut cs = Vec::new();
-            for step in self.automaton.steps(&state) {
-                let cost = cost_of(&state, &step.action);
-                let mut transitions = Vec::with_capacity(step.target.len());
-                for (t, p) in step.target.iter() {
-                    let ti = intern(t, &mut space, &mut queue)?;
-                    transitions.push((ti, p.value()));
-                }
-                cs.push(Choice { cost, transitions });
-            }
-            validate_row(id, &cs)?;
-            num_choices += cs.len() as u64;
-            num_transitions += cs.iter().map(|c| c.transitions.len() as u64).sum::<u64>();
-            debug_assert_eq!(emitted, id);
-            sink.state_row(id, &cs)?;
-            emitted += 1;
-        }
-
+        let initial = serial_core(
+            self.automaton,
+            &self.cost_of,
+            self.limit,
+            sym,
+            &mut space,
+            |id, cs| {
+                validate_row(id, &cs)?;
+                num_choices += cs.len() as u64;
+                num_transitions += cs.iter().map(|c| c.transitions.len() as u64).sum::<u64>();
+                sink.state_row(id, &cs)
+            },
+        )?;
         let summary = StreamSummary {
             initial,
             num_states: space.len(),
             num_choices,
             num_transitions,
         };
-        debug_assert_eq!(emitted, summary.num_states);
-        if pa_telemetry::enabled() {
-            pa_telemetry::counter("mdp.explore.runs").inc();
-            pa_telemetry::counter("mdp.explore.states").add(summary.num_states as u64);
-            pa_telemetry::counter("mdp.explore.choices").add(summary.num_choices);
-            pa_telemetry::counter("mdp.explore.transitions").add(summary.num_transitions);
-        }
+        record_explored(summary.num_states, num_choices, num_transitions);
         Ok((space, summary))
     }
 }
 
-/// Per-row distribution validation for the streaming explorer — the same
-/// rules [`ExplicitMdp::new`] applies to a finished model (successor
-/// indices are interner-produced and therefore in range).
-fn validate_row(state: usize, cs: &[Choice]) -> Result<(), MdpError> {
-    for c in cs {
-        if c.transitions.is_empty() {
-            return Err(MdpError::BadDistribution {
-                state,
-                reason: "empty support".into(),
-            });
-        }
-        let mut sum = 0.0;
-        for &(_, p) in &c.transitions {
-            if !p.is_finite() || p < 0.0 {
-                return Err(MdpError::BadDistribution {
-                    state,
-                    reason: format!("weight {p}"),
-                });
-            }
-            sum += p;
-        }
-        if (sum - 1.0).abs() > 1e-6 {
-            return Err(MdpError::BadDistribution {
-                state,
-                reason: format!("weights sum to {sum}"),
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Serial FIFO BFS over `automaton`, interning (canonicalized) states into
-/// `space`. The builder's serial path.
+/// `space`: the one serial explorer behind [`Explore::run_in`] and
+/// [`Explore::run_streamed`]. Hands each state's choice list to `emit`
+/// exactly once, in dense-id order (FIFO BFS assigns ids in pop order, so
+/// a popped state's row is final), and returns the initial state ids.
 fn serial_core<M: Automaton, SP: StateSpace<M::State>>(
     automaton: &M,
-    cost_of: &mut impl FnMut(&M::State, &M::Action) -> u32,
+    cost_of: impl Fn(&M::State, &M::Action) -> u32,
     limit: usize,
     sym: Option<&dyn Symmetry<M::State>>,
     space: &mut SP,
-) -> Result<ExplicitMdp, MdpError> {
+    mut emit: impl FnMut(usize, Vec<Choice>) -> Result<(), MdpError>,
+) -> Result<Vec<usize>, MdpError> {
     let _span = pa_telemetry::span("mdp.explore.seconds");
     let mut queue: VecDeque<usize> = VecDeque::new();
-    let mut choices: Vec<Vec<Choice>> = Vec::new();
 
     // Interns a state (canonicalizing first under a symmetry); the hot
     // path (an already-known successor) is a single hash lookup.
@@ -551,11 +492,9 @@ fn serial_core<M: Automaton, SP: StateSpace<M::State>>(
             }
             cs.push(Choice { cost, transitions });
         }
-        debug_assert_eq!(choices.len(), id);
-        choices.push(cs);
+        emit(id, cs)?;
     }
-
-    ExplicitMdp::new(choices, initial)
+    Ok(initial)
 }
 
 /// Cap on the adaptive oversharding factor: more than 8 shards per worker

@@ -69,35 +69,13 @@ impl ExplicitMdp {
             }
         }
         for (s, cs) in choices.iter().enumerate() {
-            for c in cs {
-                if c.transitions.is_empty() {
-                    return Err(MdpError::BadDistribution {
-                        state: s,
-                        reason: "empty support".into(),
-                    });
-                }
-                let mut sum = 0.0;
-                for &(t, p) in &c.transitions {
-                    if t >= n {
-                        return Err(MdpError::BadStateIndex {
-                            index: t,
-                            num_states: n,
-                        });
-                    }
-                    if !p.is_finite() || p < 0.0 {
-                        return Err(MdpError::BadDistribution {
-                            state: s,
-                            reason: format!("weight {p}"),
-                        });
-                    }
-                    sum += p;
-                }
-                if (sum - 1.0).abs() > 1e-6 {
-                    return Err(MdpError::BadDistribution {
-                        state: s,
-                        reason: format!("weights sum to {sum}"),
-                    });
-                }
+            validate_row(s, cs)?;
+            let mut targets = cs.iter().flat_map(|c| &c.transitions);
+            if let Some(&(index, _)) = targets.find(|&&(t, _)| t >= n) {
+                return Err(MdpError::BadStateIndex {
+                    index,
+                    num_states: n,
+                });
             }
         }
         Ok(ExplicitMdp { choices, initial })
@@ -162,6 +140,39 @@ impl ExplicitMdp {
         }
         Ok(())
     }
+}
+
+/// Validates one state's choice list: every distribution has non-empty
+/// support and finite, non-negative weights summing to 1 (within `1e-6`).
+/// Shared by [`ExplicitMdp::new`] and the streaming explorer, which checks
+/// each row as it is emitted; successor indices are range-checked by the
+/// caller.
+pub(crate) fn validate_row(state: usize, cs: &[Choice]) -> Result<(), MdpError> {
+    for c in cs {
+        if c.transitions.is_empty() {
+            return Err(MdpError::BadDistribution {
+                state,
+                reason: "empty support".into(),
+            });
+        }
+        let mut sum = 0.0;
+        for &(_, p) in &c.transitions {
+            if !p.is_finite() || p < 0.0 {
+                return Err(MdpError::BadDistribution {
+                    state,
+                    reason: format!("weight {p}"),
+                });
+            }
+            sum += p;
+        }
+        if (sum - 1.0).abs() > 1e-6 {
+            return Err(MdpError::BadDistribution {
+                state,
+                reason: format!("weights sum to {sum}"),
+            });
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

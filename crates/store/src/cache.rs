@@ -97,8 +97,8 @@ struct Inner {
     peak_resident: u64,
 }
 
-/// An LRU cache of mapped blocks with a byte budget; see the
-/// [module docs](self) for the pin/evict contract.
+/// An LRU cache of mapped blocks with a byte budget; the `cache` module
+/// docs give the pin/evict contract.
 pub struct BlockCache {
     budget: u64,
     inner: Mutex<Inner>,

@@ -12,9 +12,9 @@ use std::error::Error;
 use std::time::Duration;
 
 use timebounds::lehmann_rabin::{concurrent, regions, sims};
+use timebounds::mc::{estimate_rounds, record_trace, McConfig, McEstimate};
 use timebounds::prob::rng::SplitMix64;
 use timebounds::prob::stats::Z_95;
-use timebounds::sim::{record_trace, MonteCarlo};
 
 fn main() -> Result<(), Box<dyn Error>> {
     let n: usize = std::env::args()
@@ -47,33 +47,20 @@ fn main() -> Result<(), Box<dyn Error>> {
 
     // 2. Monte-Carlo: distribution of the time to the first meal.
     println!("\n— Monte-Carlo, 20000 trials per scheduler —");
-    let mc = MonteCarlo::new(20_000, 7, 200);
-    for name in ["round-robin", "uniform-random", "anti-progress"] {
-        let (stats, censored, p13) = match name {
-            "round-robin" => {
-                let s = sims::LrSim::new(n, sims::RoundRobin)?.with_start(sims::all_trying(n)?);
-                let st = mc.hitting_time_stats(&s, |x| regions::in_c(&x.config))?;
-                let p = mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)?;
-                (st.0, st.1, p)
-            }
-            "uniform-random" => {
-                let s = sims::LrSim::new(n, sims::UniformRandom)?.with_start(sims::all_trying(n)?);
-                let st = mc.hitting_time_stats(&s, |x| regions::in_c(&x.config))?;
-                let p = mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)?;
-                (st.0, st.1, p)
-            }
-            _ => {
-                let s = sims::LrSim::new(n, sims::AntiProgress)?.with_start(sims::all_trying(n)?);
-                let st = mc.hitting_time_stats(&s, |x| regions::in_c(&x.config))?;
-                let p = mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)?;
-                (st.0, st.1, p)
-            }
-        };
+    let estimates = [
+        first_meals(n, sims::RoundRobin)?,
+        first_meals(n, sims::UniformRandom)?,
+        first_meals(n, sims::AntiProgress)?,
+    ];
+    for (name, est) in estimates {
+        // One batch answers both: trial i's stream is private, so whether
+        // it eats by round 13 does not depend on the 200-round budget.
+        let (stats, censored) = est.time_stats();
         println!(
             "  {name:<15} mean time-to-eat {:.2} rounds (max {:.0}), censored {censored}, P[eat ≤ 13] = {} ",
             stats.mean(),
             stats.max().unwrap_or(f64::NAN),
-            p13.wilson_interval(Z_95),
+            est.estimator_within(13).wilson_interval(Z_95),
         );
     }
     println!("  paper guarantees: P[eat ≤ 13] ≥ 1/8 and E[time] ≤ 63 against ANY adversary");
@@ -94,4 +81,16 @@ fn main() -> Result<(), Box<dyn Error>> {
         report.total_flips,
     );
     Ok(())
+}
+
+/// 20 000 sampled trials of the time to the first meal under `scheduler`,
+/// from the all-trying start, each capped at 200 rounds.
+fn first_meals<S: sims::RoundScheduler>(
+    n: usize,
+    scheduler: S,
+) -> Result<(&'static str, McEstimate), Box<dyn Error>> {
+    let sim = sims::LrSim::new(n, scheduler)?.with_start(sims::all_trying(n)?);
+    let mc = McConfig::new(20_000, 7, 200);
+    let est = estimate_rounds(&sim, |x| regions::in_c(&x.config), &mc)?;
+    Ok((sim.scheduler_name(), est))
 }

@@ -1,14 +1,23 @@
 //! Cross-validation between the exact checker (pa-mdp backward induction)
-//! and the statistical estimator (pa-sim Monte-Carlo): independent
+//! and the statistical estimator (the pa-mc round sampler): independent
 //! implementations of the same semantics must agree.
 
 use timebounds::lehmann_rabin::{
     check_arrow, paper, regions, round_cost, sims, RoundConfig, RoundMdp,
 };
+use timebounds::mc::{estimate_rounds, McConfig, McEstimate};
 use timebounds::mdp::{cost_bounded_reach_levels, Explore, Objective};
 use timebounds::prob::stats::Z_99;
 use timebounds::prob::Prob;
-use timebounds::sim::MonteCarlo;
+
+/// First rounds with some process in `C`, sampled from the all-trying
+/// start of the ring of 3 under `scheduler`.
+fn sample_from_all_trying<S: sims::RoundScheduler>(scheduler: S, cfg: &McConfig) -> McEstimate {
+    let sim = sims::LrSim::new(3, scheduler)
+        .unwrap()
+        .with_start(sims::all_trying(3).unwrap());
+    estimate_rounds(&sim, |x| regions::in_c(&x.config), cfg).unwrap()
+}
 
 #[test]
 fn concrete_schedulers_dominate_the_exact_worst_case() {
@@ -19,34 +28,14 @@ fn concrete_schedulers_dominate_the_exact_worst_case() {
     .unwrap()
     .measured
     .lo();
-    let mc = MonteCarlo::new(20_000, 5, 60);
-    for which in 0..3 {
-        let ci = match which {
-            0 => {
-                let s = sims::LrSim::new(3, sims::RoundRobin)
-                    .unwrap()
-                    .with_start(sims::all_trying(3).unwrap());
-                mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)
-                    .unwrap()
-                    .wilson_interval(Z_99)
-            }
-            1 => {
-                let s = sims::LrSim::new(3, sims::UniformRandom)
-                    .unwrap()
-                    .with_start(sims::all_trying(3).unwrap());
-                mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)
-                    .unwrap()
-                    .wilson_interval(Z_99)
-            }
-            _ => {
-                let s = sims::LrSim::new(3, sims::AntiProgress)
-                    .unwrap()
-                    .with_start(sims::all_trying(3).unwrap());
-                mc.hitting_prob_within(&s, |x| regions::in_c(&x.config), 13)
-                    .unwrap()
-                    .wilson_interval(Z_99)
-            }
-        };
+    let mc = McConfig::new(20_000, 5, 13);
+    let estimates = [
+        sample_from_all_trying(sims::RoundRobin, &mc),
+        sample_from_all_trying(sims::UniformRandom, &mc),
+        sample_from_all_trying(sims::AntiProgress, &mc),
+    ];
+    for (which, est) in estimates.into_iter().enumerate() {
+        let ci = est.estimator().wilson_interval(Z_99);
         assert!(
             ci.hi().at_least(exact_worst),
             "scheduler {which}: CI {ci} below exact worst case {exact_worst}"
@@ -60,9 +49,8 @@ fn concrete_schedulers_dominate_the_exact_worst_case() {
 /// is just one of them).
 #[test]
 fn exact_curve_lower_bounds_simulated_cdf() {
-    let all_trying = sims::all_trying(3).unwrap();
     let mdp = RoundMdp::new(RoundConfig::new(3).unwrap())
-        .with_starts(vec![all_trying.clone()])
+        .with_starts(vec![sims::all_trying(3).unwrap()])
         .with_absorb(regions::in_c);
     let explored = Explore::new(&mdp)
         .cost(round_cost)
@@ -77,14 +65,10 @@ fn exact_curve_lower_bounds_simulated_cdf() {
     })
     .unwrap();
 
-    let sim = sims::LrSim::new(3, sims::UniformRandom)
-        .unwrap()
-        .with_start(all_trying);
-    let mc = MonteCarlo::new(30_000, 11, 20);
-    let cdf = mc.hitting_cdf(&sim, |s| regions::in_c(&s.config)).unwrap();
+    let cdf = sample_from_all_trying(sims::UniformRandom, &McConfig::new(30_000, 11, 20));
     for t in 0..=20u32 {
         let exact = exact_curve[t as usize];
-        let ci = cdf.prob_within_ci(t, Z_99);
+        let ci = cdf.estimator_within(t).wilson_interval(Z_99);
         assert!(
             ci.hi().value() + 1e-9 >= exact,
             "t={t}: simulated CI {ci} below exact worst case {exact}"

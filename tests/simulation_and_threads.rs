@@ -4,8 +4,8 @@
 use std::time::Duration;
 
 use timebounds::lehmann_rabin::{concurrent, lemma_6_1_invariant, regions, sims};
+use timebounds::mc::{estimate_rounds, record_trace, McConfig, McEstimate};
 use timebounds::prob::rng::SplitMix64;
-use timebounds::sim::{record_trace, rounds_to_hit, MonteCarlo};
 
 #[test]
 fn invariant_holds_along_long_simulated_traces() {
@@ -26,15 +26,19 @@ fn invariant_holds_along_long_simulated_traces() {
     }
 }
 
+/// First rounds with some process eating, sampled from the all-trying
+/// start of the ring of `n` under `scheduler`.
+fn first_meals<S: sims::RoundScheduler>(n: usize, scheduler: S, cfg: &McConfig) -> McEstimate {
+    let sim = sims::LrSim::new(n, scheduler)
+        .unwrap()
+        .with_start(sims::all_trying(n).unwrap());
+    estimate_rounds(&sim, |s| regions::in_c(&s.config), cfg).unwrap()
+}
+
 #[test]
 fn every_trial_eventually_eats() {
-    let sim = sims::LrSim::new(4, sims::AntiProgress)
-        .unwrap()
-        .with_start(sims::all_trying(4).unwrap());
-    let mc = MonteCarlo::new(2_000, 21, 500);
-    let (stats, censored) = mc
-        .hitting_time_stats(&sim, |s| regions::in_c(&s.config))
-        .unwrap();
+    let (stats, censored) =
+        first_meals(4, sims::AntiProgress, &McConfig::new(2_000, 21, 500)).time_stats();
     assert_eq!(censored, 0, "progress must happen with probability 1");
     assert!(stats.mean() >= 4.0, "a meal takes at least 4 rounds");
     assert!(stats.min().unwrap() >= 4.0);
@@ -45,19 +49,11 @@ fn hitting_time_is_deterministic_per_seed() {
     let sim = sims::LrSim::new(3, sims::UniformRandom)
         .unwrap()
         .with_start(sims::all_trying(3).unwrap());
-    let a = rounds_to_hit(
-        &sim,
-        |s| regions::in_c(&s.config),
-        100,
-        &mut SplitMix64::new(77),
-    );
-    let b = rounds_to_hit(
-        &sim,
-        |s| regions::in_c(&s.config),
-        100,
-        &mut SplitMix64::new(77),
-    );
-    assert_eq!(a, b);
+    let first_meal = || {
+        record_trace(&sim, 100, &mut SplitMix64::new(77)).first_hit(|s| regions::in_c(&s.config))
+    };
+    let a = first_meal();
+    assert_eq!(a, first_meal());
     assert!(a.is_some());
 }
 
@@ -66,13 +62,35 @@ fn idle_start_with_eager_user_still_progresses() {
     // From the all-idle start the eager user issues try at round starts;
     // progress follows.
     let sim = sims::LrSim::new(3, sims::RoundRobin).unwrap();
-    let hit = rounds_to_hit(
-        &sim,
-        |s| regions::in_c(&s.config),
-        200,
-        &mut SplitMix64::new(3),
-    );
-    assert!(hit.is_some());
+    let trace = record_trace(&sim, 200, &mut SplitMix64::new(3));
+    assert!(trace.first_hit(|s| regions::in_c(&s.config)).is_some());
+}
+
+/// Pinned hit counts of the round sampler, identical for every worker
+/// count: trial `i` runs on its own stream, and the per-worker histograms
+/// merge by integer addition.
+#[test]
+fn round_sampler_counts_are_pinned_and_worker_invariant() {
+    let mut runs = Vec::new();
+    for workers in [1, 2, 3] {
+        let deadline = McConfig::new(20_000, 99, 13).with_workers(workers);
+        let hits = [
+            first_meals(4, sims::RoundRobin, &deadline),
+            first_meals(4, sims::UniformRandom, &deadline),
+            first_meals(4, sims::AntiProgress, &deadline),
+        ];
+        let cap = McConfig::new(30_000, 11, 20).with_workers(workers);
+        let capped = first_meals(3, sims::UniformRandom, &cap);
+        assert_eq!(
+            hits.each_ref().map(McEstimate::hit_count),
+            [19_959, 19_962, 19_959],
+            "workers={workers}"
+        );
+        assert_eq!(capped.misses(), 36, "workers={workers}");
+        runs.push((hits, capped));
+    }
+    assert_eq!(runs[0], runs[1]);
+    assert_eq!(runs[1], runs[2]);
 }
 
 #[test]
