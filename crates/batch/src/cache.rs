@@ -88,7 +88,7 @@
 //! A cache configured with [`ModelCache::with_spill`] can additionally
 //! hold *stored* quotient models ([`ModelCache::model_quotient_stored`]):
 //! the exploration is routed through [`pa_store::SpillTo::spill_to`], the
-//! CSR rows live in a `pa-store/csr/v1` file, and queries page blocks in
+//! CSR rows live in a `pa-store/csr/v2` file, and queries page blocks in
 //! through a budgeted [`pa_store::BlockCache`]. Crucially, a stored slot
 //! is accounted at [`pa_store::StoredModel::mem_bytes`] — the resident
 //! state-space tables plus the *block-cache budget*, i.e. what the model
@@ -145,7 +145,7 @@ pub type QuotientModel = SharedModel<PackedSpace<FaultyStateCodec>>;
 
 /// The stored (out-of-core) counterpart of [`QuotientModel`]: the same
 /// bit-packed orbit space resident, the CSR rows spilled to a
-/// `pa-store/csr/v1` file and paged in through a budgeted block cache.
+/// `pa-store/csr/v2` file and paged in through a budgeted block cache.
 ///
 /// Mirrors the [`SharedModel`] query surface the jobs use
 /// ([`StoredQuotientModel::starts_where`] plus the

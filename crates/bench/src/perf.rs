@@ -31,7 +31,7 @@
 //! worker counts and cache budgets, LRU evictions must actually fire
 //! under a tiny budget, and the admission/backpressure tallies are gated
 //! exactly). Schema v9 adds the [`StoreBench`] block: the out-of-core
-//! probe (the `n = 4` quotient spilled to a multi-block `pa-store/csr/v1`
+//! probe (the `n = 4` quotient spilled to a multi-block `pa-store/csr/v2`
 //! file must answer every paper arrow bitwise identically to the in-core
 //! engine at an unbounded *and* a one-block cache budget, with eviction
 //! liveness and the paging-residency bound gated).
@@ -510,7 +510,7 @@ pub fn serve_bench() -> Result<ServeBench, Box<dyn std::error::Error>> {
 }
 
 /// The out-of-core block of `BENCH_mdp.json` (schema v9): the `n = 4`
-/// rotation-quotient model spilled to a multi-block `pa-store/csr/v1`
+/// rotation-quotient model spilled to a multi-block `pa-store/csr/v2`
 /// file (4 KiB blocks, so even the smoke model splits) and re-queried
 /// through the block-streamed engines at two cache budgets — unbounded
 /// and one byte (exactly one resident block). Every paper arrow's full

@@ -12,7 +12,9 @@
 //! engines still terminate.
 //!
 //! Telemetry: `mdp.store.faults`, `mdp.store.hits`, `mdp.store.evictions`
-//! counters and the `mdp.store.resident_bytes` /
+//! counters, the `mdp.store.fault_bytes` counter and
+//! `mdp.store.verify_seconds` timer of the page-ins (map plus digest
+//! check), and the `mdp.store.resident_bytes` /
 //! `mdp.store.peak_resident_bytes` gauges, plus process-wide totals via
 //! [`crate::stats`] (what `pa-serve`'s `stats` verb reports).
 
@@ -149,12 +151,15 @@ impl BlockCache {
         // page blocks in from one thread per model — worker threads only
         // read the pinned block — so there is no concurrent load to
         // overlap with).
+        let verify = pa_telemetry::span("mdp.store.verify_seconds");
         let block = Arc::new(file.load_block(idx)?);
+        verify.finish();
         let bytes = block.resident_bytes();
         inner.faults += 1;
         FAULTS.fetch_add(1, Ordering::Relaxed);
         if pa_telemetry::enabled() {
             pa_telemetry::counter("mdp.store.faults").inc();
+            pa_telemetry::counter("mdp.store.fault_bytes").add(bytes);
         }
         inner.resident.insert(
             idx,
@@ -225,5 +230,46 @@ impl std::fmt::Debug for BlockCache {
             .field("faults", &s.faults)
             .field("evictions", &s.evictions)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::format::StoreWriter;
+    use pa_mdp::Choice;
+
+    #[test]
+    fn page_ins_report_fault_bytes_and_verify_time() {
+        let dir = std::env::temp_dir().join(format!("pa-store-cache-tm-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut w = StoreWriter::create(dir.join("model.pacsr"), 0, 4096).unwrap();
+        let states = 2_000;
+        for s in 0..states {
+            w.push_row(s, &[Choice::to(1, (s + 1) % states)]).unwrap();
+        }
+        let file = w.finish(&[0], states as u64, states as u64).unwrap();
+        assert!(file.blocks().len() >= 2);
+        let total: u64 = file.blocks().iter().map(|b| b.payload_len).sum();
+
+        pa_telemetry::set_enabled(true);
+        let scope = pa_telemetry::TelemetryScope::new("cache");
+        let cache = BlockCache::with_budget(1);
+        {
+            let _in = scope.enter();
+            for _ in 0..2 {
+                for b in 0..file.blocks().len() {
+                    cache.block(&file, b).unwrap();
+                }
+            }
+        }
+        let snap = scope.snapshot();
+        let faults = cache.local_stats().faults;
+        assert_eq!(faults, 2 * file.blocks().len() as u64);
+        assert_eq!(snap.counter("mdp.store.faults"), faults);
+        assert_eq!(snap.counter("mdp.store.fault_bytes"), 2 * total);
+        assert_eq!(snap.timer("mdp.store.verify_seconds").count, faults);
+        drop(file);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

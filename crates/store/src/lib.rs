@@ -1,5 +1,5 @@
 //! Out-of-core state spaces for the `timebounds` workspace: spill explored
-//! CSR blocks to an append-only `pa-store/csr/v1` file, page them back on
+//! CSR blocks to an append-only `pa-store/csr/v2` file, page them back on
 //! demand through a byte-budgeted mmap block cache, and run `pa-mdp`'s
 //! block solver kernels so peak memory is bounded by the cache budget —
 //! with results bitwise identical to the in-core pipeline.
@@ -8,9 +8,10 @@
 //!
 //! * [`SpillTo::spill_to`] — builder option on [`pa_mdp::Explore`]: the
 //!   serial BFS streams each closed state row into a [`StoreWriter`],
-//!   which flushes page-aligned, FNV-digested blocks; packed state keys
-//!   follow as their own blocks. Peak exploration memory is the state
-//!   space, the frontier, and one pending block.
+//!   which flushes page-aligned blocks checksummed with
+//!   [`block_digest`]; packed state keys follow as their own blocks.
+//!   Peak exploration memory is the state space, the frontier, and one
+//!   pending block.
 //! * [`StoredCsr`] / [`StoredModel`] — the reopened file behind a
 //!   [`BlockCache`] (LRU, pin counts, byte budget mirroring `pa-batch`'s
 //!   `ModelCache::with_budget` semantics). [`pa_mdp::Query::source`] runs
@@ -65,7 +66,7 @@ mod stored;
 pub use cache::{stats, BlockCache, StoreStats};
 pub use error::StoreError;
 pub use format::{
-    fnv1a_64, BlockKind, BlockMeta, MappedBlock, StoreFile, StoreWriter, BLOCK_ALIGN,
+    block_digest, fnv1a_64, BlockKind, BlockMeta, MappedBlock, StoreFile, StoreWriter, BLOCK_ALIGN,
     DEFAULT_BLOCK_BYTES, FOOTER_MAGIC, HEADER_MAGIC, VERSION,
 };
 pub use spill::{KeySource, KeyWord, SpillTo, Spilling};

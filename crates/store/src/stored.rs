@@ -11,7 +11,7 @@ use crate::cache::BlockCache;
 use crate::error::StoreError;
 use crate::format::{BlockKind, StoreFile};
 
-/// A [`CsrSource`] over a `pa-store/csr/v1` file: each CSR block pages in
+/// A [`CsrSource`] over a `pa-store/csr/v2` file: each CSR block pages in
 /// through a [`BlockCache`] on demand, so an analysis touches at most
 /// `cache budget + one block` of payload at a time.
 #[derive(Debug)]

@@ -1,4 +1,4 @@
-//! Property tests for the `pa-store/csr/v1` format: serialize → (mmap)
+//! Property tests for the `pa-store/csr/v2` format: serialize → (mmap)
 //! → deserialize is the identity on arbitrary blocks, and damaged files —
 //! truncation anywhere, a flipped payload bit — surface as *named* errors,
 //! never as UB or silently zeroed rows.

@@ -1,7 +1,8 @@
 //! One kernel family, one set of bits: every analysis over a model spilled
 //! to `pa-store` in several blocks — each large enough to be chunked
 //! across worker threads — must equal the same analysis over the one-block
-//! in-core model, bit for bit, at every worker count.
+//! in-core model, bit for bit, at every worker count. A block damaged on
+//! disk must surface as a named digest error, never as values.
 
 use timebounds::core::{Automaton, Step};
 use timebounds::mdp::{CsrMdp, CsrSource, Explore, Query, QueryObjective};
@@ -160,6 +161,49 @@ fn multi_block_chunked_kernels_match_the_one_block_run_bitwise() {
     let start = in_core.initial_states()[0];
     let min_unbounded = &expected[2].1;
     assert!(min_unbounded[start] > 0.0 && min_unbounded[start] < 1.0);
+    drop(stored);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_corrupt_stored_block_is_a_named_error_never_values() {
+    use timebounds::store::BlockKind;
+
+    let dir = std::env::temp_dir().join(format!("timebounds-corrupt-block-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let stored = Explore::new(&Chain)
+        .cost(cost)
+        .limit(1_000_000)
+        .spill_to(&dir, u64::MAX)
+        .block_bytes(320 << 10)
+        .run()
+        .unwrap();
+    let file = stored.store().file();
+    let csr: Vec<_> = file
+        .blocks()
+        .iter()
+        .filter(|b| b.kind == BlockKind::Csr)
+        .collect();
+    assert!(csr.len() >= 3, "{} CSR blocks", csr.len());
+    // One byte in the middle of the middle block's payload; nothing has
+    // been paged in yet, so the query must read the damaged bytes.
+    let victim = csr[csr.len() / 2];
+    let mut bytes = std::fs::read(file.path()).unwrap();
+    bytes[(victim.offset + victim.payload_len / 2) as usize] ^= 0x10;
+    std::fs::write(file.path(), &bytes).unwrap();
+
+    let target = stored.target_where(|&s| s == GOAL);
+    match Query::source(stored.store())
+        .objective(QueryObjective::MinProb)
+        .target(&target)
+        .run()
+    {
+        Err(e) => {
+            let msg = e.to_string();
+            assert!(msg.contains("digest mismatch"), "unexpected error: {msg}");
+        }
+        Ok(a) => panic!("a corrupt block produced {} values", a.values.len()),
+    }
     drop(stored);
     std::fs::remove_dir_all(&dir).unwrap();
 }
