@@ -13,8 +13,12 @@
 //!   `worker-invariance digest` of the bench artifact's `batch` block.
 //! * [`BatchReport::jsonl`] — one line per job with durations and the
 //!   full telemetry snapshot; for humans and dashboards, not for diffing.
+//!
+//! Both are written through the serde shim's `Object` writer. Their
+//! floats use the shim's `Shortest` spelling (`1`, not `1.0`): it is part
+//! of `pa-batch/canonical/v1`, so the digest depends on it.
 
-use serde::{json_escape, Serialize};
+use serde::{Object, Serialize, Shortest};
 
 use crate::spec::{JobResult, JobStatus, JobValue};
 
@@ -77,115 +81,128 @@ pub struct BatchReport {
     pub cache_snapshot: pa_telemetry::TelemetrySnapshot,
 }
 
-/// Formats a finite `f64` exactly as Rust's shortest-roundtrip `Display`
-/// (deterministic across platforms for identical bit patterns).
-fn fmt_f64(x: f64) -> String {
-    debug_assert!(x.is_finite(), "non-finite value in batch report");
-    format!("{x}")
+impl CacheStats {
+    /// The five counts as an object, left open so the JSONL header can
+    /// append the cache telemetry.
+    fn fields(&self) -> Object {
+        Object::new()
+            .field("model_hits", &self.model_hits)
+            .field("model_misses", &self.model_misses)
+            .field("config_hits", &self.config_hits)
+            .field("config_misses", &self.config_misses)
+            .field("distinct_models", &self.distinct_models)
+    }
 }
 
-fn value_json(value: &JobValue) -> String {
-    match value {
-        JobValue::Prob {
-            measured,
-            claimed,
-            holds,
-            worst_state,
-            states_checked,
-        } => {
-            let worst = match worst_state {
-                Some(s) => json_escape(s),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"type\":\"prob\",\"measured\":{},\"claimed\":{},\"holds\":{holds},\
-                 \"worst_state\":{worst},\"states_checked\":{states_checked}}}",
-                fmt_f64(*measured),
-                fmt_f64(*claimed),
-            )
+/// A value is an object tagged by its `"type"`.
+impl Serialize for JobValue {
+    fn to_json(&self) -> String {
+        let tagged = |tag: &str| Object::new().field("type", tag);
+        match self {
+            JobValue::Prob {
+                measured,
+                claimed,
+                holds,
+                worst_state,
+                states_checked,
+            } => tagged("prob")
+                .field("measured", &Shortest(*measured))
+                .field("claimed", &Shortest(*claimed))
+                .field("holds", holds)
+                .field("worst_state", worst_state)
+                .field("states_checked", states_checked),
+            JobValue::Time {
+                expected,
+                bound,
+                within,
+            } => tagged("time")
+                .field("expected", &expected.map(Shortest))
+                .field("bound", &Shortest(*bound))
+                .field("within", within),
+            JobValue::Invariant {
+                holds,
+                states_checked,
+            } => tagged("invariant")
+                .field("holds", holds)
+                .field("states_checked", states_checked),
+            JobValue::Lemma {
+                name,
+                min_prob,
+                instances,
+                holds,
+            } => tagged("lemma")
+                .field("name", name)
+                .field("min_prob", &Shortest(*min_prob))
+                .field("instances", instances)
+                .field("holds", holds),
+            JobValue::Estimate {
+                point,
+                lo,
+                hi,
+                claimed,
+                trials,
+                hits,
+                refuted,
+            } => tagged("estimate")
+                .field("point", &Shortest(*point))
+                .field("lo", &Shortest(*lo))
+                .field("hi", &Shortest(*hi))
+                .field("claimed", &Shortest(*claimed))
+                .field("trials", trials)
+                .field("hits", hits)
+                .field("refuted", refuted),
+            JobValue::Tallies {
+                holds,
+                violated,
+                info,
+            } => tagged("tallies")
+                .field("holds", holds)
+                .field("violated", violated)
+                .field("info", info),
         }
-        JobValue::Time {
-            expected,
-            bound,
-            within,
-        } => {
-            let e = match expected {
-                Some(x) => fmt_f64(*x),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"type\":\"time\",\"expected\":{e},\"bound\":{},\"within\":{within}}}",
-                fmt_f64(*bound)
-            )
-        }
-        JobValue::Invariant {
-            holds,
-            states_checked,
-        } => format!(
-            "{{\"type\":\"invariant\",\"holds\":{holds},\"states_checked\":{states_checked}}}"
-        ),
-        JobValue::Lemma {
-            name,
-            min_prob,
-            instances,
-            holds,
-        } => format!(
-            "{{\"type\":\"lemma\",\"name\":{},\"min_prob\":{},\"instances\":{instances},\
-             \"holds\":{holds}}}",
-            json_escape(name),
-            fmt_f64(*min_prob),
-        ),
-        JobValue::Estimate {
-            point,
-            lo,
-            hi,
-            claimed,
-            trials,
-            hits,
-            refuted,
-        } => format!(
-            "{{\"type\":\"estimate\",\"point\":{},\"lo\":{},\"hi\":{},\"claimed\":{},\
-             \"trials\":{trials},\"hits\":{hits},\"refuted\":{refuted}}}",
-            fmt_f64(*point),
-            fmt_f64(*lo),
-            fmt_f64(*hi),
-            fmt_f64(*claimed),
-        ),
-        JobValue::Tallies {
-            holds,
-            violated,
-            info,
-        } => format!(
-            "{{\"type\":\"tallies\",\"holds\":{holds},\"violated\":{violated},\"info\":{info}}}"
-        ),
+        .finish()
+    }
+}
+
+/// Appends a job's `status` and, when it has one, its `value` or `error`.
+fn with_outcome(object: Object, status: &JobStatus) -> Object {
+    let object = object.field("status", status.label());
+    match status {
+        JobStatus::Done(value) => object.field("value", value),
+        JobStatus::Failed(message) => object.field("error", message),
+        JobStatus::TimedOut | JobStatus::Cancelled => object,
     }
 }
 
 /// One job's canonical entry: key, status, value, and (for non-custom jobs
-/// with telemetry enabled) its scoped counters — the deterministic subset
-/// of the snapshot.
-fn canonical_job_json(job: &JobResult) -> String {
-    let mut fields = vec![
-        format!("\"key\":{}", json_escape(&job.key)),
-        format!("\"status\":\"{}\"", job.status.label()),
-    ];
-    match &job.status {
-        JobStatus::Done(value) => fields.push(format!("\"value\":{}", value_json(value))),
-        JobStatus::Failed(message) => {
-            fields.push(format!("\"error\":{}", json_escape(message)));
-        }
-        JobStatus::TimedOut | JobStatus::Cancelled => {}
+/// with telemetry enabled) its scoped counters as a name → value object —
+/// the deterministic subset of the snapshot.
+fn canonical_job(job: &JobResult) -> Object {
+    let entry = with_outcome(Object::new().field("key", &job.key), &job.status);
+    if job.custom || !job.snapshot.enabled {
+        return entry;
     }
-    if !job.custom && job.snapshot.enabled {
-        let counters: Vec<String> = job
-            .snapshot
-            .counters
-            .iter()
-            .map(|c| format!("{}:{}", json_escape(&c.name), c.value))
-            .collect();
-        fields.push(format!("\"counters\":{{{}}}", counters.join(",")));
-    }
-    format!("{{{}}}", fields.join(","))
+    let counters = job
+        .snapshot
+        .counters
+        .iter()
+        .fold(Object::new(), |counters, c| {
+            counters.field(&c.name, &c.value)
+        });
+    entry.field("counters", &counters)
+}
+
+/// One job's JSONL line: identity, outcome, wall-clock and the full
+/// scoped snapshot.
+fn detail_job(job: &JobResult) -> String {
+    let entry = Object::new()
+        .field("key", &job.key)
+        .field("n", &job.n)
+        .field("plan", &job.plan_name);
+    with_outcome(entry, &job.status)
+        .field("seconds", &Shortest(job.seconds))
+        .field("telemetry", &job.snapshot)
+        .finish()
 }
 
 impl BatchReport {
@@ -210,72 +227,47 @@ impl BatchReport {
 
     /// The canonical, worker-count-invariant JSON (see module docs).
     pub fn canonical_json(&self) -> String {
-        let jobs: Vec<String> = self.jobs.iter().map(canonical_job_json).collect();
-        let c = &self.cache;
-        format!(
-            "{{\"schema\":\"pa-batch/canonical/v1\",\"jobs\":[{}],\"cache\":{{\
-             \"model_hits\":{},\"model_misses\":{},\"config_hits\":{},\"config_misses\":{},\
-             \"distinct_models\":{}}}}}",
-            jobs.join(","),
-            c.model_hits,
-            c.model_misses,
-            c.config_hits,
-            c.config_misses,
-            c.distinct_models,
-        )
+        let jobs: Vec<Object> = self.jobs.iter().map(canonical_job).collect();
+        Object::new()
+            .field("schema", "pa-batch/canonical/v1")
+            .field("jobs", &jobs)
+            .field("cache", &self.cache.fields())
+            .finish()
     }
 
     /// FNV-1a 64 over [`canonical_json`](BatchReport::canonical_json), as
     /// 16 hex digits — the worker-invariance digest pinned by the bench
     /// baseline.
     pub fn digest(&self) -> String {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in self.canonical_json().bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        format!("{hash:016x}")
+        BatchReport::digest_of(&self.canonical_json())
+    }
+
+    /// The digest of an already rendered canonical report, for callers
+    /// that also keep the canonical string (one serialization, not two).
+    pub fn digest_of(canonical_json: &str) -> String {
+        format!("{:016x}", pa_store::fnv1a_64(canonical_json.as_bytes()))
     }
 
     /// The full JSONL stream: a header line (run-level stats, cache
     /// telemetry) followed by one line per job with durations and the
     /// complete scoped snapshot.
     pub fn jsonl(&self) -> String {
-        let c = &self.cache;
-        let mut lines = vec![format!(
-            "{{\"schema\":\"pa-batch/jsonl/v1\",\"workers\":{},\"wall_seconds\":{},\
-             \"digest\":\"{}\",\"cache\":{{\"model_hits\":{},\"model_misses\":{},\
-             \"config_hits\":{},\"config_misses\":{},\"distinct_models\":{},\
-             \"telemetry\":{}}}}}",
-            self.workers,
-            fmt_f64(self.wall_seconds),
-            self.digest(),
-            c.model_hits,
-            c.model_misses,
-            c.config_hits,
-            c.config_misses,
-            c.distinct_models,
-            self.cache_snapshot.to_json(),
-        )];
+        let header = Object::new()
+            .field("schema", "pa-batch/jsonl/v1")
+            .field("workers", &self.workers)
+            .field("wall_seconds", &Shortest(self.wall_seconds))
+            .field("digest", &self.digest())
+            .field(
+                "cache",
+                &self.cache.fields().field("telemetry", &self.cache_snapshot),
+            )
+            .finish();
+        let mut out = header + "\n";
         for job in &self.jobs {
-            let mut fields = vec![
-                format!("\"key\":{}", json_escape(&job.key)),
-                format!("\"n\":{}", job.n),
-                format!("\"plan\":{}", json_escape(&job.plan_name)),
-                format!("\"status\":\"{}\"", job.status.label()),
-            ];
-            match &job.status {
-                JobStatus::Done(value) => fields.push(format!("\"value\":{}", value_json(value))),
-                JobStatus::Failed(message) => {
-                    fields.push(format!("\"error\":{}", json_escape(message)));
-                }
-                _ => {}
-            }
-            fields.push(format!("\"seconds\":{}", fmt_f64(job.seconds)));
-            fields.push(format!("\"telemetry\":{}", job.snapshot.to_json()));
-            lines.push(format!("{{{}}}", fields.join(",")));
+            out.push_str(&detail_job(job));
+            out.push('\n');
         }
-        lines.join("\n") + "\n"
+        out
     }
 }
 

@@ -7,44 +7,27 @@
 //! `path(..)`-returns-`None` lookup used to produce), and an unknown
 //! schema string fails with the list of schemas this gate understands.
 //!
-//! Check families, from hard to soft:
+//! Every block's checks are one row of a table (`BLOCKS`), of four
+//! kinds, from hard to soft:
 //!
-//! 1. **Structural metrics** (states, choices, transitions per ring) must
-//!    match *exactly* — the explored state space is deterministic, so any
-//!    drift is a semantic change, not noise.
-//! 2. **Speedup ratios** (CSR over seed engine) must not regress by more
-//!    than the tolerance; ratios compare a machine against itself so they
-//!    transfer across hosts.
-//! 3. **Telemetry sanity**: the counters proving the instrumentation
-//!    fired must be positive.
-//! 4. **Fault-subsystem invariants** (schema ≥ v4): survival tallies
-//!    exact, zero-fault bitwise identity, certified-absorbing crashes.
-//! 5. **Batch-driver invariants** (schema ≥ v5): job tallies and cache
-//!    counts exact, worker invariance, pinned canonical digest.
-//! 6. **Sampled-tier invariants** (schema ≥ v6, and the standalone
-//!    `pa-bench/mc/v1` artifact): every 99% interval contains its exact
-//!    value, the 1/2/8-worker probe is bitwise invariant, and the
-//!    seed-determinism digest matches the baseline exactly.
-//! 7. **Rotation-quotient invariants** (schema ≥ v7): orbit counts exact
-//!    (the quotient state space is deterministic), reduction factors
-//!    within the ratio tolerance, the full-vs-quotient lifting check
-//!    bitwise equal (hard fail — a drift means quotient lifting is
-//!    unsound), and every frontier arrow verdict holding outright.
-//! 8. **Service invariants** (schema ≥ v8): socket-submitted batches must
-//!    digest identically to direct `run_batch` runs (hard fail — a drift
-//!    means the wire codec, eviction rebuilds, or canonical cache stats
-//!    leaked scheduling), the service digest must equal both its baseline
-//!    and the batch block's invariance digest, the LRU eviction and
-//!    rebuild counters must be live under the tiny-budget probe, and the
-//!    admission/backpressure/malformed-line tallies are exact.
-//! 9. **Out-of-core invariants** (schema ≥ v9): the stored backend's
-//!    value digests must equal the in-core digest at both the unbounded
-//!    and the one-block cache budget (hard fail — a drift means the
-//!    block engines diverged across block splits), the digests
-//!    must match the baseline exactly, the structural counts (states,
-//!    blocks) are exact, the tight-budget probe must actually fault and
-//!    evict, and peak paging residency must stay within budget + two
-//!    blocks.
+//! * **exact** — deterministic metrics (state and orbit counts, survival
+//!   tallies, job, cache and admission tallies, store layout) and
+//!   **digests** (batch invariance, MC seed, service, stored backend)
+//!   must equal the baseline: any drift is a semantic change, not noise;
+//! * **hold** — invariants that must be true in the current artifact
+//!   (zero-fault bitwise identity, worker invariance, interval
+//!   containment, quotient lifting, socket == direct, stored == in-core,
+//!   paging residency within budget): a false is a correctness bug, not
+//!   a perf regression;
+//! * **ratios** on per-ring rows (CSR speedups, quotient reduction
+//!   factors) may not regress past the tolerance: they compare a machine
+//!   against itself, so they transfer across hosts;
+//! * **positive** — liveness counters proving a probe exercised its path
+//!   (evictions, rebuilds, store faults).
+//!
+//! Three checks do not fit a row (`gate_one_offs`): telemetry counters
+//! are looked up by name, crash states must show zero absorbing
+//! violations, and the service digest must equal the batch block's.
 
 use crate::json::Json;
 
@@ -126,73 +109,45 @@ impl Gate {
     }
 }
 
+/// The throughput artifact's top-level blocks, in the order its schema
+/// versions added them: v4 carries the first four, each later version
+/// one more.
+const THROUGHPUT_BLOCKS: &[&str] = &[
+    "rings",
+    "telemetry",
+    "telemetry_overhead",
+    "faults",
+    "batch",
+    "mc",
+    "symmetry",
+    "serve",
+    "store",
+];
+
 /// Schema strings this gate knows how to check, with the top-level blocks
 /// each one must carry.
 const SCHEMAS: &[(&str, &[&str])] = &[
     (
         "pa-bench/mdp-throughput/v4",
-        &["rings", "telemetry", "telemetry_overhead", "faults"],
+        THROUGHPUT_BLOCKS.split_at(4).0,
     ),
     (
         "pa-bench/mdp-throughput/v5",
-        &[
-            "rings",
-            "telemetry",
-            "telemetry_overhead",
-            "faults",
-            "batch",
-        ],
+        THROUGHPUT_BLOCKS.split_at(5).0,
     ),
     (
         "pa-bench/mdp-throughput/v6",
-        &[
-            "rings",
-            "telemetry",
-            "telemetry_overhead",
-            "faults",
-            "batch",
-            "mc",
-        ],
+        THROUGHPUT_BLOCKS.split_at(6).0,
     ),
     (
         "pa-bench/mdp-throughput/v7",
-        &[
-            "rings",
-            "telemetry",
-            "telemetry_overhead",
-            "faults",
-            "batch",
-            "mc",
-            "symmetry",
-        ],
+        THROUGHPUT_BLOCKS.split_at(7).0,
     ),
     (
         "pa-bench/mdp-throughput/v8",
-        &[
-            "rings",
-            "telemetry",
-            "telemetry_overhead",
-            "faults",
-            "batch",
-            "mc",
-            "symmetry",
-            "serve",
-        ],
+        THROUGHPUT_BLOCKS.split_at(8).0,
     ),
-    (
-        "pa-bench/mdp-throughput/v9",
-        &[
-            "rings",
-            "telemetry",
-            "telemetry_overhead",
-            "faults",
-            "batch",
-            "mc",
-            "symmetry",
-            "serve",
-            "store",
-        ],
-    ),
+    ("pa-bench/mdp-throughput/v9", THROUGHPUT_BLOCKS),
     ("pa-bench/mc/v1", &["mc"]),
 ];
 
@@ -212,13 +167,221 @@ pub fn known_schemas() -> Vec<&'static str> {
     SCHEMAS.iter().map(|(s, _)| *s).collect()
 }
 
-fn ring_metric(doc: &Json, n: f64, keys: &[&str]) -> Option<f64> {
-    doc.get("rings")?
-        .as_array()?
-        .iter()
-        .find(|r| r.get("n").and_then(Json::as_f64) == Some(n))?
-        .path(keys)?
-        .as_f64()
+/// Per-`n` rows of a block, matched between the two artifacts by `n`.
+struct Rows {
+    /// Where the row array sits inside the block (empty: the block is it).
+    at: &'static [&'static str],
+    /// Prefix of the check labels (`n=…` follows).
+    label: &'static str,
+    /// Row metrics that must equal the baseline exactly.
+    exact: &'static [&'static str],
+    /// Row ratios (dotted paths) that may not regress past the tolerance.
+    ratios: &'static [&'static str],
+    /// Whether a row may lack its ratios on either side.
+    ratios_optional: bool,
+}
+
+/// The gates of one bench block. Metrics are dotted paths inside the block
+/// and are labelled `block.metric` in failures.
+struct BlockGates {
+    block: &'static str,
+    rows: Option<Rows>,
+    /// Deterministic metrics: equal to the baseline exactly.
+    exact: &'static [&'static str],
+    /// Digests: equal to the baseline's string exactly.
+    digests: &'static [&'static str],
+    /// Invariants that must hold outright in the current artifact.
+    hold: &'static [&'static str],
+    /// Liveness counters that must be positive in the current artifact.
+    positive: &'static [&'static str],
+}
+
+const NO_GATES: BlockGates = BlockGates {
+    block: "",
+    rows: None,
+    exact: &[],
+    digests: &[],
+    hold: &[],
+    positive: &[],
+};
+
+/// Every table-driven gate, one row per block (see the module docs for
+/// why each family is exact, a ratio, an invariant or a liveness check).
+/// A block is checked when the artifact's schema requires it.
+const BLOCKS: &[BlockGates] = &[
+    BlockGates {
+        block: "rings",
+        rows: Some(Rows {
+            at: &[],
+            label: "",
+            exact: &["states", "choices", "transitions"],
+            ratios: &[
+                "explore_states_per_sec.speedup",
+                "vi_sweeps_per_sec.speedup",
+            ],
+            ratios_optional: false,
+        }),
+        ..NO_GATES
+    },
+    BlockGates {
+        block: "telemetry_overhead",
+        positive: &["enabled_over_disabled"],
+        ..NO_GATES
+    },
+    BlockGates {
+        block: "faults",
+        exact: &["holds", "degraded", "fails"],
+        hold: &["zero_fault_bitwise_equal"],
+        positive: &["crash_tagged_choices"],
+        ..NO_GATES
+    },
+    BlockGates {
+        block: "batch",
+        exact: &[
+            "jobs",
+            "done",
+            "failed",
+            "violated",
+            "model_cache_hits",
+            "model_cache_misses",
+            "distinct_models",
+        ],
+        digests: &["invariance_digest"],
+        hold: &["worker_invariant"],
+        positive: &["cache_hit_rate"],
+        ..NO_GATES
+    },
+    BlockGates {
+        block: "mc",
+        exact: &["n", "trajectories", "seed", "skipped_vacuous"],
+        digests: &["digest"],
+        hold: &[
+            "all_contain_exact",
+            "uniform.contains_exact",
+            "worker_invariant",
+        ],
+        positive: &["trajectories_total", "rng_draws_total", "steps_total"],
+        ..NO_GATES
+    },
+    BlockGates {
+        block: "symmetry",
+        // Quotient-only rows past the largest full ring have no paired
+        // full count, hence no reduction factor.
+        rows: Some(Rows {
+            at: &["rings"],
+            label: "symmetry ",
+            exact: &["orbit_states"],
+            ratios: &["reduction"],
+            ratios_optional: true,
+        }),
+        exact: &["frontier.n"],
+        hold: &[
+            "lifting_bitwise_equal",
+            "frontier.all_hold",
+            "frontier.expected_time_within_claim",
+        ],
+        ..NO_GATES
+    },
+    BlockGates {
+        block: "serve",
+        exact: &[
+            "jobs",
+            "socket_batches",
+            "jobs_accepted",
+            "backpressure_rejections",
+            "lines_rejected",
+            "batches_run",
+        ],
+        digests: &["digest"],
+        hold: &["digest_invariant"],
+        positive: &["evictions", "rebuilds"],
+        ..NO_GATES
+    },
+    BlockGates {
+        block: "store",
+        exact: &["n", "states", "csr_blocks", "block_bytes"],
+        digests: &["digest_in_core", "digest_unbounded", "digest_one_block"],
+        hold: &["bitwise_identical", "rss_bounded"],
+        positive: &["faults", "evictions"],
+        ..NO_GATES
+    },
+];
+
+/// The value at a dotted `metric` path below `doc`.
+fn lookup<'j>(doc: &'j Json, metric: &str) -> Option<&'j Json> {
+    metric.split('.').try_fold(doc, |v, k| v.get(k))
+}
+
+/// Checks one exact metric; a metric missing from the current artifact
+/// is a named failure.
+fn exact(gate: &mut Gate, what: &str, baseline: Option<&Json>, current: Option<&Json>) {
+    let base = baseline.and_then(Json::as_f64).unwrap_or(f64::NAN);
+    match current.and_then(Json::as_f64) {
+        Some(cur) => gate.check_exact(what, base, cur),
+        None => gate.fail(format!("{what}: missing from current artifact")),
+    }
+}
+
+fn row_array<'j>(doc: &'j Json, block: &str, rows: &Rows) -> Option<&'j [Json]> {
+    doc.get(block)?.path(rows.at)?.as_array()
+}
+
+fn gate_rows(gate: &mut Gate, block: &str, rows: &Rows, baseline: &Json, current: &Json) {
+    let path = [&[block], rows.at].concat().join(".");
+    let Some(base_rows) = row_array(baseline, block, rows) else {
+        gate.fail(format!("baseline `{path}` block is not an array"));
+        return;
+    };
+    let current_rows = row_array(current, block, rows).unwrap_or_default();
+    for row in base_rows {
+        let Some(n) = row.get("n").and_then(Json::as_f64) else {
+            gate.fail(format!("baseline `{path}` entry without an `n` field"));
+            continue;
+        };
+        let cur = current_rows
+            .iter()
+            .find(|r| r.get("n").and_then(Json::as_f64) == Some(n));
+        let label = |metric: &str| format!("{}n={n} {metric}", rows.label);
+        for metric in rows.exact {
+            let current = cur.and_then(|r| lookup(r, metric));
+            exact(gate, &label(metric), lookup(row, metric), current);
+        }
+        for metric in rows.ratios {
+            let base = lookup(row, metric).and_then(Json::as_f64);
+            match (base, cur.and_then(|r| lookup(r, metric)?.as_f64())) {
+                (Some(b), Some(c)) => gate.check_ratio(&label(metric), b, c),
+                _ if rows.ratios_optional => {}
+                _ => gate.fail(format!("{}: missing", label(metric))),
+            }
+        }
+    }
+}
+
+/// Walks one row of [`BLOCKS`].
+fn gate_block(gate: &mut Gate, gates: &BlockGates, baseline: &Json, current: &Json) {
+    let block = gates.block;
+    if let Some(rows) = &gates.rows {
+        gate_rows(gate, block, rows, baseline, current);
+    }
+    let base = |metric: &str| lookup(baseline.get(block)?, metric);
+    let cur = |metric: &str| lookup(current.get(block)?, metric);
+    let what = |metric: &str| format!("{block}.{metric}");
+    for metric in gates.exact {
+        exact(gate, &what(metric), base(metric), cur(metric));
+    }
+    for metric in gates.digests {
+        gate.check_exact_str(
+            &what(metric),
+            base(metric).and_then(Json::as_str),
+            cur(metric).and_then(Json::as_str),
+        );
+    }
+    for metric in gates.hold {
+        gate.check_true(&what(metric), cur(metric).and_then(Json::as_bool));
+    }
+    for metric in gates.positive {
+        gate.check_positive(&what(metric), cur(metric).and_then(Json::as_f64));
+    }
 }
 
 /// Value of a named counter inside the report's `telemetry` block.
@@ -231,367 +394,48 @@ fn telemetry_counter(doc: &Json, name: &str) -> Option<f64> {
         .as_f64()
 }
 
-fn gate_rings(gate: &mut Gate, baseline: &Json, current: &Json) {
-    let Some(rings) = baseline.get("rings").and_then(Json::as_array) else {
-        gate.fail("baseline `rings` block is not an array".to_string());
-        return;
-    };
-    for ring in rings {
-        let Some(n) = ring.get("n").and_then(Json::as_f64) else {
-            gate.fail("baseline ring entry without an `n` field".to_string());
-            continue;
+/// The gates that do not fit the table.
+fn gate_one_offs(gate: &mut Gate, current: &Json, has: impl Fn(&str) -> bool) {
+    if has("telemetry") {
+        let mc: &[&str] = if has("mc") {
+            &["mc.steps", "mc.rng_draws"]
+        } else {
+            &[]
         };
-        for metric in ["states", "choices", "transitions"] {
-            let base = ring.get(metric).and_then(Json::as_f64).unwrap_or(f64::NAN);
-            match ring_metric(current, n, &[metric]) {
-                Some(cur) => gate.check_exact(&format!("n={n} {metric}"), base, cur),
-                None => gate.fail(format!("n={n} {metric}: missing from current artifact")),
-            }
-        }
-        for family in ["explore_states_per_sec", "vi_sweeps_per_sec"] {
-            let base = ring.path(&[family, "speedup"]).and_then(Json::as_f64);
-            let cur = ring_metric(current, n, &[family, "speedup"]);
-            match (base, cur) {
-                (Some(b), Some(c)) => gate.check_ratio(&format!("n={n} {family}.speedup"), b, c),
-                _ => gate.fail(format!("n={n} {family}.speedup: missing")),
-            }
-        }
-    }
-}
-
-fn gate_telemetry(gate: &mut Gate, current: &Json, with_mc: bool) {
-    for counter in [
-        "mdp.vi.sweeps",
-        "mdp.explore.states",
-        "mc.trajectories",
-        "faults.crashes_injected",
-        "faults.restarts",
-        "faults.obligations_dropped",
-        "faults.envelope_violations",
-        "mdp.tag.tagged_choices",
-    ] {
-        gate.check_positive(
-            &format!("telemetry {counter}"),
-            telemetry_counter(current, counter),
-        );
-    }
-    if with_mc {
-        for counter in ["mc.steps", "mc.rng_draws"] {
+        for counter in [
+            "mdp.vi.sweeps",
+            "mdp.explore.states",
+            "mc.trajectories",
+            "faults.crashes_injected",
+            "faults.restarts",
+            "faults.obligations_dropped",
+            "faults.envelope_violations",
+            "mdp.tag.tagged_choices",
+        ]
+        .iter()
+        .chain(mc)
+        {
             gate.check_positive(
                 &format!("telemetry {counter}"),
                 telemetry_counter(current, counter),
             );
         }
     }
-    gate.check_positive(
-        "telemetry_overhead.enabled_over_disabled",
-        current
-            .path(&["telemetry_overhead", "enabled_over_disabled"])
-            .and_then(Json::as_f64),
-    );
-}
-
-fn gate_faults(gate: &mut Gate, baseline: &Json, current: &Json) {
-    // The survival-cell tallies are deterministic so they gate exactly;
-    // the two structural invariants (zero-fault bitwise identity,
-    // certified-absorbing crash states) must hold outright.
-    for metric in ["holds", "degraded", "fails"] {
-        let base = baseline
-            .path(&["faults", metric])
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        match current.path(&["faults", metric]).and_then(Json::as_f64) {
-            Some(cur) => gate.check_exact(&format!("faults.{metric}"), base, cur),
-            None => gate.fail(format!("faults.{metric}: missing from current artifact")),
-        }
+    if has("faults") {
+        // Crash states must be certified absorbing: no violation at all.
+        let violations = lookup(current, "faults.crash_absorbing_violations");
+        let violations = violations.and_then(Json::as_f64).unwrap_or(f64::NAN);
+        gate.check_exact("faults.crash_absorbing_violations", 0.0, violations);
     }
-    gate.check_true(
-        "faults.zero_fault_bitwise_equal",
-        current
-            .path(&["faults", "zero_fault_bitwise_equal"])
-            .and_then(Json::as_bool),
-    );
-    gate.check_positive(
-        "faults.crash_tagged_choices",
-        current
-            .path(&["faults", "crash_tagged_choices"])
-            .and_then(Json::as_f64),
-    );
-    gate.check_exact(
-        "faults.crash_absorbing_violations",
-        0.0,
-        current
-            .path(&["faults", "crash_absorbing_violations"])
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN),
-    );
-}
-
-fn gate_batch(gate: &mut Gate, baseline: &Json, current: &Json) {
-    // Tallies and cache hit counts are deterministic per job set, so they
-    // gate exactly; the invariance digest pins the measured values
-    // bitwise across runs and machines.
-    for metric in [
-        "jobs",
-        "done",
-        "failed",
-        "violated",
-        "model_cache_hits",
-        "model_cache_misses",
-        "distinct_models",
-    ] {
-        let base = baseline
-            .path(&["batch", metric])
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        match current.path(&["batch", metric]).and_then(Json::as_f64) {
-            Some(cur) => gate.check_exact(&format!("batch.{metric}"), base, cur),
-            None => gate.fail(format!("batch.{metric}: missing from current artifact")),
-        }
-    }
-    gate.check_positive(
-        "batch.cache_hit_rate",
-        current
-            .path(&["batch", "cache_hit_rate"])
-            .and_then(Json::as_f64),
-    );
-    gate.check_true(
-        "batch.worker_invariant",
-        current
-            .path(&["batch", "worker_invariant"])
-            .and_then(Json::as_bool),
-    );
-    gate.check_exact_str(
-        "batch.invariance_digest",
-        baseline
-            .path(&["batch", "invariance_digest"])
-            .and_then(Json::as_str),
-        current
-            .path(&["batch", "invariance_digest"])
-            .and_then(Json::as_str),
-    );
-}
-
-fn gate_mc(gate: &mut Gate, baseline: &Json, current: &Json) {
-    // The sampling parameters and the integer accounting are
-    // deterministic for a pinned seed, so they gate exactly; the
-    // statistical verdicts must hold outright in the current artifact.
-    for metric in ["n", "trajectories", "seed", "skipped_vacuous"] {
-        let base = baseline
-            .path(&["mc", metric])
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        match current.path(&["mc", metric]).and_then(Json::as_f64) {
-            Some(cur) => gate.check_exact(&format!("mc.{metric}"), base, cur),
-            None => gate.fail(format!("mc.{metric}: missing from current artifact")),
-        }
-    }
-    gate.check_true(
-        "mc.all_contain_exact",
-        current
-            .path(&["mc", "all_contain_exact"])
-            .and_then(Json::as_bool),
-    );
-    gate.check_true(
-        "mc.uniform.contains_exact",
-        current
-            .path(&["mc", "uniform", "contains_exact"])
-            .and_then(Json::as_bool),
-    );
-    gate.check_true(
-        "mc.worker_invariant",
-        current
-            .path(&["mc", "worker_invariant"])
-            .and_then(Json::as_bool),
-    );
-    gate.check_exact_str(
-        "mc.digest",
-        baseline.path(&["mc", "digest"]).and_then(Json::as_str),
-        current.path(&["mc", "digest"]).and_then(Json::as_str),
-    );
-    for metric in ["trajectories_total", "rng_draws_total", "steps_total"] {
-        gate.check_positive(
-            &format!("mc.{metric}"),
-            current.path(&["mc", metric]).and_then(Json::as_f64),
-        );
-    }
-}
-
-fn gate_symmetry(gate: &mut Gate, baseline: &Json, current: &Json) {
-    // The quotient state space is deterministic, so orbit counts gate
-    // exactly; the reduction factor is a derived ratio and gets the
-    // tolerance (it only drifts if the counts do, but a baseline row may
-    // legitimately gain a paired `full_states` measurement later).
-    let Some(rings) = baseline
-        .path(&["symmetry", "rings"])
-        .and_then(Json::as_array)
-    else {
-        gate.fail("baseline `symmetry.rings` block is not an array".to_string());
-        return;
-    };
-    let current_ring = |n: f64, keys: &[&str]| -> Option<f64> {
-        current
-            .path(&["symmetry", "rings"])?
-            .as_array()?
-            .iter()
-            .find(|r| r.get("n").and_then(Json::as_f64) == Some(n))?
-            .path(keys)?
-            .as_f64()
-    };
-    for ring in rings {
-        let Some(n) = ring.get("n").and_then(Json::as_f64) else {
-            gate.fail("baseline symmetry ring entry without an `n` field".to_string());
-            continue;
-        };
-        let base = ring
-            .get("orbit_states")
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        match current_ring(n, &["orbit_states"]) {
-            Some(cur) => gate.check_exact(&format!("symmetry n={n} orbit_states"), base, cur),
-            None => gate.fail(format!("symmetry n={n} orbit_states: missing from current")),
-        }
-        if let (Some(b), Some(c)) = (
-            ring.get("reduction").and_then(Json::as_f64),
-            current_ring(n, &["reduction"]),
-        ) {
-            gate.check_ratio(&format!("symmetry n={n} reduction"), b, c);
-        }
-    }
-    // The lifting check is the soundness witness for every quotient
-    // verdict in the artifact: a false here is a correctness bug.
-    gate.check_true(
-        "symmetry.lifting_bitwise_equal",
-        current
-            .path(&["symmetry", "lifting_bitwise_equal"])
-            .and_then(Json::as_bool),
-    );
-    gate.check_exact(
-        "symmetry.frontier.n",
-        baseline
-            .path(&["symmetry", "frontier", "n"])
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN),
-        current
-            .path(&["symmetry", "frontier", "n"])
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN),
-    );
-    gate.check_true(
-        "symmetry.frontier.all_hold",
-        current
-            .path(&["symmetry", "frontier", "all_hold"])
-            .and_then(Json::as_bool),
-    );
-    gate.check_true(
-        "symmetry.frontier.expected_time_within_claim",
-        current
-            .path(&["symmetry", "frontier", "expected_time_within_claim"])
-            .and_then(Json::as_bool),
-    );
-}
-
-fn gate_serve(gate: &mut Gate, baseline: &Json, current: &Json) {
-    // Every tally in the block is deterministic (the probe's submissions
-    // and malformed corpus are fixed), so they all gate exactly.
-    for metric in [
-        "jobs",
-        "socket_batches",
-        "jobs_accepted",
-        "backpressure_rejections",
-        "lines_rejected",
-        "batches_run",
-    ] {
-        let base = baseline
-            .path(&["serve", metric])
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        match current.path(&["serve", metric]).and_then(Json::as_f64) {
-            Some(cur) => gate.check_exact(&format!("serve.{metric}"), base, cur),
-            None => gate.fail(format!("serve.{metric}: missing from current artifact")),
-        }
-    }
-    // Socket == direct is the service's headline contract; a false here
-    // is a correctness bug in the wire codec or the eviction path, not a
-    // perf regression.
-    gate.check_true(
-        "serve.digest_invariant",
-        current
-            .path(&["serve", "digest_invariant"])
-            .and_then(Json::as_bool),
-    );
-    gate.check_exact_str(
-        "serve.digest",
-        baseline.path(&["serve", "digest"]).and_then(Json::as_str),
-        current.path(&["serve", "digest"]).and_then(Json::as_str),
-    );
-    // Cross-block: the service digest must equal the batch block's —
-    // both hash the same n = 3 model suite, so a divergence means the
-    // socket path changed a measured value.
-    gate.check_exact_str(
-        "serve.digest == batch.invariance_digest",
-        current
-            .path(&["batch", "invariance_digest"])
-            .and_then(Json::as_str),
-        current.path(&["serve", "digest"]).and_then(Json::as_str),
-    );
-    // Liveness: the tiny-budget daemon must actually evict and rebuild,
-    // otherwise its digest equality passed vacuously.
-    gate.check_positive(
-        "serve.evictions",
-        current.path(&["serve", "evictions"]).and_then(Json::as_f64),
-    );
-    gate.check_positive(
-        "serve.rebuilds",
-        current.path(&["serve", "rebuilds"]).and_then(Json::as_f64),
-    );
-}
-
-fn gate_store(gate: &mut Gate, baseline: &Json, current: &Json) {
-    // Structure is deterministic: same exploration, same block split.
-    for metric in ["n", "states", "csr_blocks", "block_bytes"] {
-        let base = baseline
-            .path(&["store", metric])
-            .and_then(Json::as_f64)
-            .unwrap_or(f64::NAN);
-        match current.path(&["store", metric]).and_then(Json::as_f64) {
-            Some(cur) => gate.check_exact(&format!("store.{metric}"), base, cur),
-            None => gate.fail(format!("store.{metric}: missing from current artifact")),
-        }
-    }
-    // The headline contract: stored results are bitwise identical to
-    // in-core at every budget. A false is an engine-divergence bug, not a
-    // perf regression.
-    gate.check_true(
-        "store.bitwise_identical",
-        current
-            .path(&["store", "bitwise_identical"])
-            .and_then(Json::as_bool),
-    );
-    for digest in ["digest_in_core", "digest_unbounded", "digest_one_block"] {
+    if has("serve") {
+        // Both blocks hash the same n = 3 model suite, so a divergence
+        // means the socket path changed a measured value.
         gate.check_exact_str(
-            &format!("store.{digest}"),
-            baseline.path(&["store", digest]).and_then(Json::as_str),
-            current.path(&["store", digest]).and_then(Json::as_str),
+            "serve.digest == batch.invariance_digest",
+            lookup(current, "batch.invariance_digest").and_then(Json::as_str),
+            lookup(current, "serve.digest").and_then(Json::as_str),
         );
     }
-    // Liveness: the one-byte budget must actually page and evict,
-    // otherwise the tight-budget digest passed without pressure.
-    gate.check_positive(
-        "store.faults",
-        current.path(&["store", "faults"]).and_then(Json::as_f64),
-    );
-    gate.check_positive(
-        "store.evictions",
-        current.path(&["store", "evictions"]).and_then(Json::as_f64),
-    );
-    // The memory bound the subsystem exists for.
-    gate.check_true(
-        "store.rss_bounded",
-        current
-            .path(&["store", "rss_bounded"])
-            .and_then(Json::as_bool),
-    );
 }
 
 /// Runs every gate the artifacts' schema requires. Failures (including
@@ -642,29 +486,9 @@ pub fn compare_docs(baseline: &Json, current: &Json, tolerance_pct: f64) -> Gate
     }
 
     let has = |block: &str| blocks.contains(&block);
-    if has("rings") {
-        gate_rings(&mut gate, baseline, current);
+    for gates in BLOCKS.iter().filter(|g| has(g.block)) {
+        gate_block(&mut gate, gates, baseline, current);
     }
-    if has("telemetry") {
-        gate_telemetry(&mut gate, current, has("mc"));
-    }
-    if has("faults") {
-        gate_faults(&mut gate, baseline, current);
-    }
-    if has("batch") {
-        gate_batch(&mut gate, baseline, current);
-    }
-    if has("mc") {
-        gate_mc(&mut gate, baseline, current);
-    }
-    if has("symmetry") {
-        gate_symmetry(&mut gate, baseline, current);
-    }
-    if has("serve") {
-        gate_serve(&mut gate, baseline, current);
-    }
-    if has("store") {
-        gate_store(&mut gate, baseline, current);
-    }
+    gate_one_offs(&mut gate, current, has);
     gate
 }

@@ -107,15 +107,6 @@ pub struct McBench {
     pub rng_draws_total: u64,
 }
 
-fn fnv1a(bytes: impl Iterator<Item = u8>) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
-}
-
 /// Builds the [`McBench`] block on the ring of `n` processes: every paper
 /// arrow × default-grid plan sampled with `trajectories` trajectories at
 /// `seed`, the uniform chain cross-check, the worker-invariance probe,
@@ -206,7 +197,10 @@ pub fn mc_bench(
     }
     let worker_invariant = worker_fragments.windows(2).all(|w| w[0] == w[1]);
 
-    let digest = fnv1a(fragments.join("\n").bytes());
+    let digest = format!(
+        "{:016x}",
+        pa_store::fnv1a_64(fragments.join("\n").as_bytes())
+    );
     Ok(McBench {
         n,
         trajectories,

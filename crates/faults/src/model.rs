@@ -15,7 +15,7 @@ use serde::Serialize;
 use crate::{FaultError, FaultEvent, FaultKind, FaultPlan, MAX_DOWNTIME};
 
 /// A seeded, rate-based fault process over a bounded horizon of rounds.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultModel {
     /// Master seed; every `(round, process)` cell derives its own stream.
     pub seed: u64,
@@ -77,19 +77,6 @@ impl FaultModel {
             }
         }
         FaultPlan::new(events)
-    }
-}
-
-impl Serialize for FaultModel {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"seed\":{},\"horizon\":{},\"crash_rate\":{},\"restart_downtime\":{},\"drop_rate\":{}}}",
-            self.seed,
-            self.horizon,
-            self.crash_rate.to_json(),
-            self.restart_downtime.to_json(),
-            self.drop_rate.to_json()
-        )
     }
 }
 

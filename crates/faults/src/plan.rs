@@ -8,7 +8,7 @@
 //! description — the same plan always injects the same faults, which is
 //! what makes survival maps reproducible.
 
-use serde::Serialize;
+use serde::{Object, Serialize};
 
 use crate::FaultError;
 
@@ -39,17 +39,17 @@ pub enum FaultKind {
 impl Serialize for FaultKind {
     fn to_json(&self) -> String {
         match self {
-            FaultKind::CrashStop => "\"crash-stop\"".to_string(),
-            FaultKind::CrashRestart { downtime } => {
-                format!("{{\"crash-restart\":{{\"downtime\":{downtime}}}}}")
-            }
-            FaultKind::DropObligation => "\"drop-obligation\"".to_string(),
+            FaultKind::CrashStop => "crash-stop".to_json(),
+            FaultKind::CrashRestart { downtime } => Object::new()
+                .field("crash-restart", &Object::new().field("downtime", downtime))
+                .finish(),
+            FaultKind::DropObligation => "drop-obligation".to_json(),
         }
     }
 }
 
 /// One scripted fault: `process` suffers `kind` at the start of `round`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct FaultEvent {
     /// The 1-based round at whose start the fault strikes.
     pub round: u32,
@@ -57,17 +57,6 @@ pub struct FaultEvent {
     pub process: usize,
     /// What happens to it.
     pub kind: FaultKind,
-}
-
-impl Serialize for FaultEvent {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"round\":{},\"process\":{},\"kind\":{}}}",
-            self.round,
-            self.process,
-            self.kind.to_json()
-        )
-    }
 }
 
 /// A validated, replayable fault schedule: events sorted by `(round,

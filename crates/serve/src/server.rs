@@ -58,10 +58,16 @@ use std::time::Duration;
 use pa_batch::{run_batch_in, BatchOptions, BatchReport, JobSpec, ModelCache};
 use pa_telemetry::TelemetryScope;
 
+use serde::{Object, Shortest};
+
 use crate::wire::{
-    error_line, json_string, parse_request, CustomRegistry, Request, RunOptions, WireError,
-    MAX_LINE_BYTES,
+    error_line, parse_request, CustomRegistry, Request, RunOptions, WireError, MAX_LINE_BYTES,
 };
+
+/// The start of every successful response line: `{"ok":true,…`.
+fn ok() -> Object {
+    Object::new().field("ok", &true)
+}
 
 /// Service knobs. Everything has a working default; construct with
 /// `ServeConfig::default()` and override fields.
@@ -207,85 +213,67 @@ impl Server {
 
     /// Appends one report line to the sink:
     /// `{"schema":"pa-serve/report/v1","digest":"…","canonical":{…}}`.
-    fn persist(&self, report: &BatchReport) -> io::Result<bool> {
+    fn persist(&self, digest: &str, canonical_json: &str) -> io::Result<bool> {
         let Some(sink) = &self.report else {
             return Ok(false);
         };
-        let line = format!(
-            "{{\"schema\":\"pa-serve/report/v1\",\"digest\":\"{}\",\"canonical\":{}}}\n",
-            report.digest(),
-            report.canonical_json()
-        );
+        let line = Object::new()
+            .field("schema", "pa-serve/report/v1")
+            .field("digest", digest)
+            .raw("canonical", canonical_json)
+            .finish()
+            + "\n";
         let mut file = sink.lock().expect("report sink poisoned");
         file.write_all(line.as_bytes())?;
         file.flush()?;
         Ok(true)
     }
 
-    fn run_response(&self, report: &BatchReport, persisted: bool) -> String {
+    fn run_response(&self, report: &BatchReport, digest: &str, persisted: bool) -> String {
         let tally = report.tally();
-        format!(
-            "{{\"ok\":true,\"digest\":\"{}\",\"jobs\":{},\"done\":{},\"failed\":{},\
-             \"timed_out\":{},\"cancelled\":{},\"violated\":{},\"workers\":{},\
-             \"wall_seconds\":{},\"persisted\":{persisted}}}",
-            report.digest(),
-            report.jobs.len(),
-            tally.done,
-            tally.failed,
-            tally.timed_out,
-            tally.cancelled,
-            tally.violated,
-            report.workers,
-            report.wall_seconds,
-        )
+        ok().field("digest", digest)
+            .field("jobs", &report.jobs.len())
+            .field("done", &tally.done)
+            .field("failed", &tally.failed)
+            .field("timed_out", &tally.timed_out)
+            .field("cancelled", &tally.cancelled)
+            .field("violated", &tally.violated)
+            .field("workers", &report.workers)
+            .field("wall_seconds", &Shortest(report.wall_seconds))
+            .field("persisted", &persisted)
+            .finish()
     }
 
     fn stats_response(&self, pending: usize) -> String {
-        let budget = match self.cache.budget() {
-            Some(b) => b.to_string(),
-            None => "null".to_string(),
-        };
+        let cache = &self.cache;
+        let cache_stats = Object::new()
+            .field("model_hits", &cache.model_hits())
+            .field("model_misses", &cache.model_misses())
+            .field("rebuilds", &cache.rebuilds())
+            .field("evictions", &cache.evictions())
+            .field("resident_bytes", &cache.resident_bytes())
+            .field("budget", &cache.budget())
+            .field("distinct_models", &cache.distinct_models())
+            .field("stored_hits", &cache.stored_hits())
+            .field("stored_misses", &cache.stored_misses())
+            .field("distinct_stored_models", &cache.distinct_stored_models());
         // v2 adds the stored-model cache counters and the process-wide
         // block-store gauges (the `mdp.store.*` telemetry mirrors): a
         // monitoring client can read peak paging residency next to the
         // model cache's accounted bytes without scraping telemetry.
-        let store = pa_store::stats();
-        format!(
-            "{{\"ok\":true,\"stats\":{{\"schema\":\"pa-serve/stats/v2\",\
-             \"jobs_accepted\":{},\"jobs_rejected\":{},\"lines_rejected\":{},\
-             \"batches_run\":{},\"connections_accepted\":{},\"connections_rejected\":{},\
-             \"pending\":{pending},\"draining\":{},\
-             \"cache\":{{\"model_hits\":{},\"model_misses\":{},\"rebuilds\":{},\
-             \"evictions\":{},\"resident_bytes\":{},\"budget\":{budget},\
-             \"distinct_models\":{},\"stored_hits\":{},\"stored_misses\":{},\
-             \"distinct_stored_models\":{}}},\
-             \"store\":{{\"resident_bytes\":{},\"peak_resident_bytes\":{},\
-             \"faults\":{},\"hits\":{},\"evictions\":{},\"budget_bytes\":{},\
-             \"caches\":{}}}}}}}",
-            self.jobs_accepted(),
-            self.jobs_rejected(),
-            self.lines_rejected(),
-            self.batches_run(),
-            self.connections_accepted(),
-            self.connections_rejected(),
-            self.draining(),
-            self.cache.model_hits(),
-            self.cache.model_misses(),
-            self.cache.rebuilds(),
-            self.cache.evictions(),
-            self.cache.resident_bytes(),
-            self.cache.distinct_models(),
-            self.cache.stored_hits(),
-            self.cache.stored_misses(),
-            self.cache.distinct_stored_models(),
-            store.resident_bytes,
-            store.peak_resident_bytes,
-            store.faults,
-            store.hits,
-            store.evictions,
-            store.budget_bytes,
-            store.caches,
-        )
+        let stats = Object::new()
+            .field("schema", "pa-serve/stats/v2")
+            .field("jobs_accepted", &self.jobs_accepted())
+            .field("jobs_rejected", &self.jobs_rejected())
+            .field("lines_rejected", &self.lines_rejected())
+            .field("batches_run", &self.batches_run())
+            .field("connections_accepted", &self.connections_accepted())
+            .field("connections_rejected", &self.connections_rejected())
+            .field("pending", &pending)
+            .field("draining", &self.draining())
+            .field("cache", &cache_stats)
+            .field("store", &pa_store::stats());
+        ok().field("stats", &stats).finish()
     }
 
     /// Serves one connection: reads request lines, writes one response
@@ -324,11 +312,11 @@ impl Server {
                     self.count(&self.stats.lines_rejected, "serve.lines.rejected");
                     error_line("bad-line", &err.message)
                 }
-                Ok(Request::Ping) => "{\"ok\":true,\"pong\":true}".to_string(),
+                Ok(Request::Ping) => ok().field("pong", &true).finish(),
                 Ok(Request::Stats) => self.stats_response(pending.len()),
                 Ok(Request::Drain) => {
                     self.request_drain();
-                    writeln!(writer, "{{\"ok\":true,\"draining\":true}}")?;
+                    writeln!(writer, "{}", ok().field("draining", &true).finish())?;
                     writer.flush()?;
                     return Ok(true);
                 }
@@ -349,11 +337,9 @@ impl Server {
                         let key = spec.key();
                         pending.push(*spec);
                         self.count(&self.stats.jobs_accepted, "serve.jobs.accepted");
-                        format!(
-                            "{{\"ok\":true,\"queued\":{},\"key\":{}}}",
-                            pending.len(),
-                            json_string(&key)
-                        )
+                        ok().field("queued", &pending.len())
+                            .field("key", &key)
+                            .finish()
                     }
                 }
                 Ok(Request::Run(opts)) => self.run_pending(&mut pending, opts),
@@ -381,7 +367,11 @@ impl Server {
         match run_batch_in(&specs, &options, &self.cache) {
             Ok(report) => {
                 self.count(&self.stats.batches_run, "serve.batches.run");
-                let persisted = match self.persist(&report) {
+                // One canonical serialization per batch: the digest and
+                // the persisted line both derive from this string.
+                let canonical = report.canonical_json();
+                let digest = BatchReport::digest_of(&canonical);
+                let persisted = match self.persist(&digest, &canonical) {
                     Ok(persisted) => persisted,
                     Err(e) => {
                         return error_line(
@@ -390,7 +380,7 @@ impl Server {
                         )
                     }
                 };
-                self.run_response(&report, persisted)
+                self.run_response(&report, &digest, persisted)
             }
             Err(e) => error_line("batch-error", &e.to_string()),
         }

@@ -37,12 +37,12 @@
 //! bitwise identical to a direct [`pa_batch::run_batch`] run.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use pa_batch::{CustomFn, JobKind, JobSpec, McSettings};
 use pa_core::SetExpr;
 use pa_faults::{FaultEvent, FaultKind, FaultPlan};
+use serde::{Object, Serialize, Shortest};
 
 use crate::json::Json;
 
@@ -393,79 +393,65 @@ fn spec_from_json(doc: &Json, registry: &CustomRegistry) -> Result<JobSpec, Wire
     Ok(spec)
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// The `"kind"` of a job line: a bare string for the argument-free kinds,
+/// otherwise an object with the kind's tag as its single key. Floats use
+/// the [`Shortest`] spelling; a region set is always the array of its
+/// atom names.
+struct WireKind<'a>(&'a JobKind);
+
+impl Serialize for WireKind<'_> {
+    fn to_json(&self) -> String {
+        fn set_to_wire(set: &SetExpr) -> Vec<&str> {
+            set.atoms().collect()
         }
-    }
-    out.push('"');
-    out
-}
-
-fn set_to_wire(set: &SetExpr) -> String {
-    let atoms: Vec<String> = set.atoms().map(escape).collect();
-    format!("[{}]", atoms.join(","))
-}
-
-fn kind_to_wire(kind: &JobKind) -> Result<String, WireError> {
-    Ok(match kind {
-        JobKind::Arrow { index } => format!("{{\"arrow\":{index}}}"),
-        JobKind::ComposedArrow => "\"composed\"".to_string(),
-        JobKind::ExpectedTime { from, to, bound } => format!(
-            "{{\"etime\":{{\"from\":{},\"to\":{},\"bound\":{bound}}}}}",
-            set_to_wire(from),
-            set_to_wire(to),
-        ),
-        JobKind::Invariant => "\"invariant\"".to_string(),
-        JobKind::Lemma { index } => format!("{{\"lemma\":{index}}}"),
-        JobKind::Reach {
-            target,
-            within,
-            claimed,
-        } => format!(
-            "{{\"reach\":{{\"target\":{},\"within\":{within},\"claimed\":{claimed}}}}}",
-            set_to_wire(target),
-        ),
-        JobKind::Sampled {
-            target,
-            within,
-            claimed,
-            mc,
-        } => format!(
-            "{{\"sampled\":{{\"target\":{},\"within\":{within},\"claimed\":{claimed},\
-             \"trajectories\":{},\"seed\":{}}}}}",
-            set_to_wire(target),
-            mc.trajectories,
-            mc.seed,
-        ),
-        JobKind::Custom { name, .. } => format!("{{\"custom\":{}}}", escape(name)),
-    })
-}
-
-fn fault_kind_to_wire(kind: &FaultKind) -> String {
-    match kind {
-        FaultKind::CrashStop => "\"crash-stop\"".to_string(),
-        FaultKind::CrashRestart { downtime } => {
-            format!("{{\"crash-restart\":{{\"downtime\":{downtime}}}}}")
+        let tagged = |tag: &str, body: &dyn Serialize| Object::new().field(tag, body).finish();
+        match self.0 {
+            JobKind::Arrow { index } => tagged("arrow", index),
+            JobKind::ComposedArrow => "composed".to_json(),
+            JobKind::ExpectedTime { from, to, bound } => tagged(
+                "etime",
+                &Object::new()
+                    .field("from", &set_to_wire(from))
+                    .field("to", &set_to_wire(to))
+                    .field("bound", &Shortest(*bound)),
+            ),
+            JobKind::Invariant => "invariant".to_json(),
+            JobKind::Lemma { index } => tagged("lemma", index),
+            JobKind::Reach {
+                target,
+                within,
+                claimed,
+            } => tagged(
+                "reach",
+                &Object::new()
+                    .field("target", &set_to_wire(target))
+                    .field("within", within)
+                    .field("claimed", &Shortest(*claimed)),
+            ),
+            JobKind::Sampled {
+                target,
+                within,
+                claimed,
+                mc,
+            } => tagged(
+                "sampled",
+                &Object::new()
+                    .field("target", &set_to_wire(target))
+                    .field("within", within)
+                    .field("claimed", &Shortest(*claimed))
+                    .field("trajectories", &mc.trajectories)
+                    .field("seed", &mc.seed),
+            ),
+            JobKind::Custom { name, .. } => tagged("custom", name),
         }
-        FaultKind::DropObligation => "\"drop-obligation\"".to_string(),
     }
 }
 
 /// Encodes a [`JobSpec`] as one `{"op":"job"}` wire line (no trailing
 /// newline). The inverse of [`parse_request`] on the job subset — see the
-/// module docs on fidelity.
+/// module docs on fidelity. The plan is written by
+/// [`FaultPlan`]'s own `Serialize`; `eps` keeps the exponent spelling of
+/// the job key (`1e-9`).
 ///
 /// # Errors
 ///
@@ -479,45 +465,26 @@ pub fn spec_to_wire(spec: &JobSpec) -> Result<String, WireError> {
             ));
         }
     }
-    let events: Vec<String> = spec
-        .plan
-        .events()
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"round\":{},\"process\":{},\"kind\":{}}}",
-                e.round,
-                e.process,
-                fault_kind_to_wire(&e.kind)
-            )
-        })
-        .collect();
-    Ok(format!(
-        "{{\"op\":\"job\",\"kind\":{},\"n\":{},\"plan\":[{}],\"plan_name\":{},\
-         \"eps\":{:e},\"state_limit\":{}}}",
-        kind_to_wire(&spec.kind)?,
-        spec.n,
-        events.join(","),
-        escape(&spec.plan_name),
-        spec.epsilon,
-        spec.state_limit,
-    ))
+    Ok(Object::new()
+        .field("op", "job")
+        .field("kind", &WireKind(&spec.kind))
+        .field("n", &spec.n)
+        .field("plan", &spec.plan)
+        .field("plan_name", &spec.plan_name)
+        .raw("eps", &format!("{:e}", spec.epsilon))
+        .field("state_limit", &spec.state_limit)
+        .finish())
 }
 
 /// `{"ok":false,...}` — the structured per-line rejection. `reason` is a
 /// stable machine-readable tag (`bad-line`, `backpressure`, `draining`,
 /// `empty-batch`, `batch-error`, `admission`); `error` is for humans.
 pub fn error_line(reason: &str, message: &str) -> String {
-    format!(
-        "{{\"ok\":false,\"reason\":{},\"error\":{}}}",
-        escape(reason),
-        escape(message)
-    )
-}
-
-/// Escapes a string as a JSON literal (exposed for response builders).
-pub fn json_string(s: &str) -> String {
-    escape(s)
+    Object::new()
+        .field("ok", &false)
+        .field("reason", reason)
+        .field("error", message)
+        .finish()
 }
 
 #[cfg(test)]

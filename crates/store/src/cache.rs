@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pa_mdp::fxhash::FxHashMap;
+use serde::Serialize;
 
 use crate::error::StoreError;
 use crate::format::{MappedBlock, StoreFile};
@@ -36,7 +37,8 @@ static CACHES: AtomicU64 = AtomicU64::new(0);
 
 /// A process-wide snapshot of block-cache activity, summed over every live
 /// [`BlockCache`] (counters also include caches that have since dropped).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Serializes to the `store` object of the `pa-serve` stats response.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct StoreStats {
     /// Bytes of block payload currently resident across all caches.
     pub resident_bytes: u64,

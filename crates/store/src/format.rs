@@ -100,9 +100,10 @@ impl BlockMeta {
     }
 }
 
-/// FNV-1a 64 over raw bytes — the same constants as the workspace's other
-/// result digests (`pa-batch`'s report digest, `pa_mdp::csr_digest`).
-/// Block payloads are checksummed with [`block_digest`] instead.
+/// FNV-1a 64 over raw bytes — the workspace's one byte-wise result
+/// digest: `pa-batch`'s report digest and the bench MC seed digest call
+/// it, and `pa_mdp::csr_digest` uses the same constants over `u64`
+/// words. Block payloads are checksummed with [`block_digest`] instead.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
