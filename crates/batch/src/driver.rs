@@ -243,9 +243,7 @@ fn execute(ctx: &JobCtx<'_>) -> Result<JobValue, String> {
                 });
             }
             let n = ctx.spec.n;
-            let target = model
-                .explored
-                .target_where(|s| to_pred(&s.inner.config, s.crashed_mask(n)));
+            let target = model.target_where(|s| to_pred(&s.inner.config, s.crashed_mask(n)));
             let values = Query::csr(&model.csr)
                 .objective(QueryObjective::MaxCost)
                 .target(target)
@@ -375,9 +373,7 @@ fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
         });
     }
     let n = ctx.spec.n;
-    let target = model
-        .explored
-        .target_where(|s| to(&s.inner.config, s.crashed_mask(n)));
+    let target = model.target_where(|s| to(&s.inner.config, s.crashed_mask(n)));
     let budget = time_to_budget(arrow.time());
     let values = Query::csr(&model.csr)
         .objective(QueryObjective::MinProb)
@@ -394,7 +390,7 @@ fn run_arrow(ctx: &JobCtx<'_>, arrow: &Arrow) -> Result<JobValue, String> {
     for i in starts {
         if values[i] < worst {
             worst = values[i];
-            worst_state = Some(model.explored.state(i).to_string());
+            worst_state = Some(model.states[i].to_string());
         }
     }
     let measured = Prob::clamped(worst).value();

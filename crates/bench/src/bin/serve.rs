@@ -34,6 +34,7 @@ use pa_batch::{JobKind, JobSpec};
 use pa_bench::batch_suite;
 use pa_bench::json::Json;
 use pa_serve::{spec_to_wire, CustomRegistry, ServeConfig, Server};
+use serde::Object;
 
 /// The custom experiment jobs of the batch suite, keyed by name, so the
 /// daemon can resolve `{"custom":"name"}` submissions.
@@ -134,7 +135,8 @@ fn client_session(
             return Err(format!("job {} rejected: {ack:?}", spec.key()).into());
         }
     }
-    let done = exchange(&format!("{{\"op\":\"run\",\"workers\":{workers}}}"))?;
+    let run = Object::new().field("op", "run").field("workers", &workers);
+    let done = exchange(&run.finish())?;
     if done.get("ok").and_then(Json::as_bool) != Some(true) {
         return Err(format!("run failed: {done:?}").into());
     }
@@ -154,7 +156,7 @@ fn client_session(
     );
     println!("digest {digest}");
     if drain {
-        exchange("{\"op\":\"drain\"}")?;
+        exchange(&Object::new().field("op", "drain").finish())?;
         println!("serve client: daemon drained");
     }
     Ok(digest)

@@ -55,7 +55,7 @@ use pa_mdp::{
     QueryObjective, RingRotation, StateSpace,
 };
 use pa_telemetry::TelemetrySnapshot;
-use serde::Serialize;
+use serde::{Object, Serialize};
 
 /// The seed engine's exploration, reproduced verbatim for baseline timing:
 /// serial BFS interning *cloned* states through a default-SipHash
@@ -424,14 +424,15 @@ fn serve_socket_digests(
                 return Err(format!("job rejected: {ack:?}").into());
             }
         }
-        let done = exchange(&format!("{{\"op\":\"run\",\"workers\":{workers}}}"))?;
+        let run = Object::new().field("op", "run").field("workers", &workers);
+        let done = exchange(&run.finish())?;
         let digest = done
             .get("digest")
             .and_then(Json::as_str)
             .ok_or_else(|| format!("run failed: {done:?}"))?;
         digests.push(digest.to_string());
     }
-    exchange("{\"op\":\"drain\"}")?;
+    exchange(&Object::new().field("op", "drain").finish())?;
     daemon
         .join()
         .map_err(|_| "serve daemon panicked")?

@@ -15,8 +15,9 @@
 //! probs          : k        per-transition probability
 //! ```
 //!
-//! — built once after exploration, so every analysis sweep is a linear
-//! walk.
+//! — written once, row by row, by [`CsrBuilder`] (from a nested model, or
+//! straight from a streamed exploration), so every analysis sweep is a
+//! linear walk.
 //!
 //! A `CsrMdp` is a [`CsrSource`] with a single block spanning every state.
 //! It has no solver of its own: its analysis methods are one-line calls
@@ -25,13 +26,13 @@
 //! (see the `source` module docs).
 
 use crate::source::{self, CsrRows, CsrSource, SolveStats};
-use crate::{resolve_workers, ExplicitMdp, IterOptions, MdpError, Objective};
+use crate::{resolve_workers, Choice, ExplicitMdp, IterOptions, MdpError, Objective, RowSink};
 
-/// A compressed-sparse-row view of an [`ExplicitMdp`].
+/// A compressed-sparse-row MDP, written by [`CsrBuilder`].
 ///
 /// Indices are `u32` internally (a model with 4 billion choices or
-/// transitions would not fit in memory as nested vectors either);
-/// construction asserts the bounds.
+/// transitions would not fit in memory as nested vectors either); the
+/// builder checks the bounds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CsrMdp {
     /// `choice_offsets[s]..choice_offsets[s+1]` are state `s`'s choices.
@@ -54,39 +55,14 @@ impl CsrMdp {
     /// the same order (and produce bitwise-identical floating-point
     /// results) as the same algorithm on the nested form.
     pub fn from_explicit(mdp: &ExplicitMdp) -> CsrMdp {
-        let n = mdp.num_states();
-        let m = mdp.num_choices();
-        let k = mdp.num_transitions();
-        assert!(
-            m < u32::MAX as usize && k < u32::MAX as usize,
-            "model too large for u32 CSR offsets"
-        );
-        let mut choice_offsets = Vec::with_capacity(n + 1);
-        let mut trans_offsets = Vec::with_capacity(m + 1);
-        let mut costs = Vec::with_capacity(m);
-        let mut targets = Vec::with_capacity(k);
-        let mut probs = Vec::with_capacity(k);
-        choice_offsets.push(0);
-        trans_offsets.push(0);
-        for s in 0..n {
-            for c in mdp.choices(s) {
-                costs.push(c.cost);
-                for &(t, p) in &c.transitions {
-                    targets.push(t as u32);
-                    probs.push(p);
-                }
-                trans_offsets.push(targets.len() as u32);
-            }
-            choice_offsets.push(costs.len() as u32);
+        let mut builder =
+            CsrBuilder::with_capacity(mdp.num_states(), mdp.num_choices(), mdp.num_transitions());
+        for s in 0..mdp.num_states() {
+            builder
+                .push_row(mdp.choices(s))
+                .expect("model too large for u32 CSR offsets");
         }
-        CsrMdp {
-            choice_offsets,
-            trans_offsets,
-            costs,
-            targets,
-            probs,
-            initial: mdp.initial_states().to_vec(),
-        }
+        builder.finish(mdp.initial_states().to_vec())
     }
 
     /// Number of states.
@@ -110,8 +86,8 @@ impl CsrMdp {
     }
 
     /// Heap bytes held by the flattened arrays (offsets, costs, targets,
-    /// probabilities, initial states). This is the per-slot size a model
-    /// cache accounts a resident CSR at when enforcing a byte budget.
+    /// probabilities, initial states): the CSR share of what a model
+    /// cache accounts a resident slot at when enforcing a byte budget.
     pub fn mem_bytes(&self) -> u64 {
         use std::mem::size_of;
         (self.choice_offsets.capacity() * size_of::<u32>()
@@ -253,6 +229,94 @@ impl From<&ExplicitMdp> for CsrMdp {
     }
 }
 
+/// The one writer of [`CsrMdp`]: appends state rows in dense-id order.
+///
+/// [`CsrMdp::from_explicit`] feeds it the rows of a nested model; as a
+/// [`RowSink`] it takes the rows of [`crate::Explore::run_streamed`]
+/// directly, so a model can be explored straight into CSR without the
+/// nested copy ever being resident.
+#[derive(Debug)]
+pub struct CsrBuilder {
+    choice_offsets: Vec<u32>,
+    trans_offsets: Vec<u32>,
+    costs: Vec<u32>,
+    targets: Vec<u32>,
+    probs: Vec<f64>,
+}
+
+impl Default for CsrBuilder {
+    fn default() -> CsrBuilder {
+        CsrBuilder::with_capacity(0, 0, 0)
+    }
+}
+
+impl CsrBuilder {
+    /// An empty builder with room for `states` rows, `choices` choices and
+    /// `transitions` transitions.
+    pub fn with_capacity(states: usize, choices: usize, transitions: usize) -> CsrBuilder {
+        let mut choice_offsets = Vec::with_capacity(states + 1);
+        let mut trans_offsets = Vec::with_capacity(choices + 1);
+        choice_offsets.push(0);
+        trans_offsets.push(0);
+        CsrBuilder {
+            choice_offsets,
+            trans_offsets,
+            costs: Vec::with_capacity(choices),
+            targets: Vec::with_capacity(transitions),
+            probs: Vec::with_capacity(transitions),
+        }
+    }
+
+    /// Appends the next state's row, keeping choice and transition order.
+    ///
+    /// # Errors
+    ///
+    /// [`MdpError::Backend`] once the model outgrows `u32` offsets.
+    pub fn push_row(&mut self, choices: &[Choice]) -> Result<(), MdpError> {
+        for c in choices {
+            self.costs.push(c.cost);
+            for &(t, p) in &c.transitions {
+                self.targets.push(t as u32);
+                self.probs.push(p);
+            }
+            self.trans_offsets.push(self.targets.len() as u32);
+        }
+        if self.costs.len() >= u32::MAX as usize || self.targets.len() >= u32::MAX as usize {
+            return Err(MdpError::Backend {
+                reason: "model too large for u32 CSR offsets".to_string(),
+            });
+        }
+        self.choice_offsets.push(self.costs.len() as u32);
+        Ok(())
+    }
+
+    /// The finished model with start states `initial`. Growth slack is
+    /// released, so [`CsrMdp::mem_bytes`] is what the model holds.
+    pub fn finish(mut self, mut initial: Vec<usize>) -> CsrMdp {
+        initial.shrink_to_fit();
+        self.choice_offsets.shrink_to_fit();
+        self.trans_offsets.shrink_to_fit();
+        self.costs.shrink_to_fit();
+        self.targets.shrink_to_fit();
+        self.probs.shrink_to_fit();
+        CsrMdp {
+            choice_offsets: self.choice_offsets,
+            trans_offsets: self.trans_offsets,
+            costs: self.costs,
+            targets: self.targets,
+            probs: self.probs,
+            initial,
+        }
+    }
+}
+
+impl RowSink for CsrBuilder {
+    fn state_row(&mut self, id: usize, choices: &[Choice]) -> Result<(), MdpError> {
+        debug_assert_eq!(id + 1, self.choice_offsets.len(), "rows in dense-id order");
+        self.push_row(choices)
+    }
+}
+
 /// An in-core model is a [`CsrSource`] with a single block spanning every
 /// state: its offset arrays already start at 0, so the full slices satisfy
 /// the block-relative contract as-is.
@@ -299,7 +363,6 @@ impl CsrSource for CsrMdp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Choice;
 
     fn escape() -> ExplicitMdp {
         ExplicitMdp::new(

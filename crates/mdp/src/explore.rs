@@ -347,8 +347,9 @@ where
 /// (`0, 1, 2, …`), instead of the exploration accumulating the whole
 /// nested model in memory.
 ///
-/// `pa-store`'s block writer implements this to spill CSR blocks to disk
-/// as exploration closes them.
+/// [`crate::CsrBuilder`] implements this to explore straight into an
+/// in-core [`crate::CsrMdp`]; `pa-store`'s block writer implements it to
+/// spill CSR blocks to disk as exploration closes them.
 pub trait RowSink {
     /// Consumes state `id`'s choices. `id` increases by exactly one per
     /// call. Errors (e.g. I/O failures of a disk spill) abort the
@@ -1117,6 +1118,37 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(plain.states(), hinted.states());
+    }
+
+    #[test]
+    fn streamed_csr_matches_the_flattened_nested_model() {
+        use crate::symmetry::RingRotation;
+        use crate::{csr_digest, CsrBuilder, CsrMdp};
+        let m = RingCounter { n: 4 };
+        for quotient in [false, true] {
+            let explore = || {
+                let e = Explore::new(&m).limit(100_000);
+                if quotient {
+                    e.symmetry(RingRotation::new(4))
+                } else {
+                    e
+                }
+            };
+            let nested = explore().workers(2).run().unwrap();
+            let flat = CsrMdp::from_explicit(&nested.mdp);
+            let mut builder = CsrBuilder::default();
+            let (space, summary) = explore()
+                .run_streamed(BoxedSpace::default(), &mut builder)
+                .unwrap();
+            let streamed = builder.finish(summary.initial);
+            assert_eq!(
+                csr_digest(&streamed).unwrap(),
+                csr_digest(&flat).unwrap(),
+                "quotient={quotient}"
+            );
+            assert_eq!(space.states(), nested.states(), "quotient={quotient}");
+            assert_eq!(streamed.mem_bytes(), flat.mem_bytes());
+        }
     }
 
     #[test]

@@ -84,7 +84,7 @@ pub mod symmetry;
 mod tag;
 mod value_iter;
 
-pub use csr::CsrMdp;
+pub use csr::{CsrBuilder, CsrMdp};
 pub use error::MdpError;
 pub use expected::{has_zero_cost_cycle, min_expected_cost, ExpectedCost};
 pub use explore::{check_invariant, Explore, Explored, InvariantResult, RowSink, StreamSummary};

@@ -253,16 +253,13 @@ impl Server {
             .field("evictions", &cache.evictions())
             .field("resident_bytes", &cache.resident_bytes())
             .field("budget", &cache.budget())
-            .field("distinct_models", &cache.distinct_models())
-            .field("stored_hits", &cache.stored_hits())
-            .field("stored_misses", &cache.stored_misses())
-            .field("distinct_stored_models", &cache.distinct_stored_models());
-        // v2 adds the stored-model cache counters and the process-wide
-        // block-store gauges (the `mdp.store.*` telemetry mirrors): a
-        // monitoring client can read peak paging residency next to the
-        // model cache's accounted bytes without scraping telemetry.
+            .field("distinct_models", &cache.distinct_models());
+        // The process-wide block-store gauges (the `mdp.store.*` telemetry
+        // mirrors) ride along: a monitoring client can read peak paging
+        // residency next to the model cache's accounted bytes without
+        // scraping telemetry.
         let stats = Object::new()
-            .field("schema", "pa-serve/stats/v2")
+            .field("schema", "pa-serve/stats/v3")
             .field("jobs_accepted", &self.jobs_accepted())
             .field("jobs_rejected", &self.jobs_rejected())
             .field("lines_rejected", &self.lines_rejected())
@@ -532,13 +529,12 @@ mod tests {
         let lines = drive(&s, "{\"op\":\"ping\"}\n\n{\"op\":\"stats\"}\n");
         assert_eq!(lines.len(), 2, "blank line gets no response");
         assert!(lines[0].contains("\"pong\":true"));
-        assert!(lines[1].contains("\"pa-serve/stats/v2\""));
+        assert!(lines[1].contains("\"pa-serve/stats/v3\""));
         assert!(lines[1].contains("\"budget\":null"));
-        // v2: block-store gauges ride along (process-wide, so only their
+        // Block-store gauges ride along (process-wide, so only their
         // presence — not their values — is deterministic here).
         assert!(lines[1].contains("\"store\":{\"resident_bytes\":"));
         assert!(lines[1].contains("\"peak_resident_bytes\":"));
-        assert!(lines[1].contains("\"stored_misses\":"));
     }
 
     #[test]

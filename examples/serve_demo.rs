@@ -24,6 +24,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
+use serde::Object;
 use timebounds::batch::{run_batch, BatchOptions, JobKind, JobSpec};
 use timebounds::lehmann_rabin::paper;
 use timebounds::serve::{spec_to_wire, CustomRegistry, ServeConfig, Server};
@@ -119,7 +120,8 @@ fn main() -> Result<(), Box<dyn Error>> {
                 return Err(format!("job {} rejected: {ack}", spec.key()).into());
             }
         }
-        let done = client.send(&format!("{{\"op\":\"run\",\"workers\":{workers}}}"))?;
+        let run = Object::new().field("op", "run").field("workers", &workers);
+        let done = client.send(&run.finish())?;
         let digest = field(&done, "digest")
             .ok_or_else(|| format!("run failed: {done}"))?
             .to_string();
@@ -127,9 +129,9 @@ fn main() -> Result<(), Box<dyn Error>> {
         socket_digests.push(digest);
     }
 
-    let stats = client.send("{\"op\":\"stats\"}")?;
+    let stats = client.send(&Object::new().field("op", "stats").finish())?;
     println!("\ndaemon stats: {stats}");
-    client.send("{\"op\":\"drain\"}")?;
+    client.send(&Object::new().field("op", "drain").finish())?;
     daemon.join().map_err(|_| "daemon panicked")??;
 
     let direct = run_batch(&specs, &BatchOptions::with_workers(workers))?;

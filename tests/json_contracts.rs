@@ -10,7 +10,10 @@
 
 use std::sync::Arc;
 
-use pa_batch::{run_batch, BatchOptions, BatchReport, CacheStats, JobResult, JobStatus, JobValue};
+use pa_batch::{
+    run_batch, run_batch_in, BatchOptions, BatchReport, CacheStats, JobResult, JobStatus, JobValue,
+    ModelCache,
+};
 use pa_serve::json::Json;
 use pa_serve::{
     error_line, parse_request, spec_to_wire, CustomRegistry, Request, ServeConfig, Server,
@@ -21,8 +24,15 @@ use pa_telemetry::{CounterSnapshot, TelemetrySnapshot, TimerSnapshot};
 fn the_n3_model_suite_digest_is_pinned() {
     // The value `BENCH_baseline.json` pins as `batch.invariance_digest`.
     let specs = pa_bench::batch_suite::model_specs(&[3]);
-    let report = run_batch(&specs, &BatchOptions::with_workers(2)).unwrap();
+    let options = BatchOptions::with_workers(2);
+    let report = run_batch(&specs, &options).unwrap();
     assert_eq!(report.digest(), "102994e6e3208eed");
+    // A one-byte budget keeps only the slot just built, so models are
+    // evicted and rebuilt throughout the run; the digest must not move.
+    let cache = ModelCache::with_budget(1);
+    let report = run_batch_in(&specs, &options, &cache).unwrap();
+    assert_eq!(report.digest(), "102994e6e3208eed");
+    assert!(cache.evictions() > 0, "the budget did force evictions");
 }
 
 /// One job line of every job kind, covering every fault kind, a string
@@ -224,8 +234,7 @@ fn a_served_batch_persists_a_pinned_report_line() {
     );
     assert_eq!(
         keys(body.get("cache").unwrap()),
-        "model_hits,model_misses,rebuilds,evictions,resident_bytes,budget,distinct_models,\
-         stored_hits,stored_misses,distinct_stored_models"
+        "model_hits,model_misses,rebuilds,evictions,resident_bytes,budget,distinct_models"
     );
     assert_eq!(
         keys(body.get("store").unwrap()),
